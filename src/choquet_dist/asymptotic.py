@@ -182,19 +182,3 @@ def power_weight_game(n: int, a: float) -> SetFunction:
     prefix = np.concatenate([[0.0], np.cumsum(steps)])
     sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
     return SetFunction(n, prefix[sizes])
-
-
-def stigler_summary(n: int, a: float, provider) -> dict:
-    """Limits versus finite-n component statistics for the power-weight game."""
-    qm_name = getattr(provider, "law", None)
-    from .osmoments import quantile_model_for
-    qm = quantile_model_for(qm_name)
-    J = WeightFunction.power(a)
-    game = power_weight_game(n, a)
-    mix = mixture_approx(game, provider)
-    return {
-        "alpha": alpha(J, qm),
-        "beta2": beta2(J, qm),
-        "component_mean": float(mix.means[0]),
-        "n_times_variance": float(n * mix.variances[0]),
-    }

@@ -30,7 +30,8 @@ class CapacityFormatError(ValueError):
 
 
 def n_max() -> int:
-    """Permutation-enumeration bound (default 10); override with CHOQUET_NMAX."""
+    """Largest n whose n! chains :func:`enumerate_chains` will walk (default
+    10); override with CHOQUET_NMAX.  Nothing else is bounded by it."""
     env = os.environ.get("CHOQUET_NMAX")
     return int(env) if env else DEFAULT_N_MAX
 
@@ -99,6 +100,27 @@ def subset_sizes(n: int) -> np.ndarray:
     return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
 
 
+def lattice_halves(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a contiguous array indexed by mask on its last axis: the
+    entries whose mask lacks bit i, and the entries with bit i added, aligned."""
+    t = a.reshape(*a.shape[:-1], -1, 2, 1 << i)
+    return t[..., 0, :], t[..., 1, :]
+
+
+def ranked_zeta(h: np.ndarray, n: int) -> np.ndarray:
+    """Z[s, T] = sum of h(S) over the subsets S of T with |S| = s.
+
+    Yates's algorithm run on every rank at once: one pass per attribute adds
+    each entry into the entry with that attribute added, O(n^2 2^n) in all.
+    """
+    z = np.zeros((n + 1, 1 << n))
+    z[subset_sizes(n), np.arange(1 << n)] = h
+    for i in range(n):
+        lo, hi = lattice_halves(z, i)
+        hi += lo
+    return z
+
+
 @dataclass(frozen=True)
 class CapacityCheck:
     """Diagnostics from :func:`check_capacity`."""
@@ -130,8 +152,9 @@ def make_game(n: int, values: Mapping) -> SetFunction:
     """
     if not isinstance(n, int) or n < 1:
         raise CapacityFormatError(f"n must be a positive integer, got {n!r}")
-    if n > n_max():
-        raise CapacityFormatError(f"n={n} exceeds the configured maximum {n_max()}")
+    if len(values) < (1 << n) - 1:
+        raise CapacityFormatError(f"missing subsets: {len(values)} values given for the "
+                                  f"{(1 << n) - 1} nonempty subsets of n={n}")
     arr = np.zeros(1 << n)
     seen = np.zeros(1 << n, dtype=bool)
     for key, val in values.items():
@@ -152,17 +175,16 @@ def make_game(n: int, values: Mapping) -> SetFunction:
 def check_capacity(g: SetFunction) -> CapacityCheck:
     """Check monotonicity over all covering pairs and the nu(N) = 1 normalization."""
     vals = g.values
+    # lowest attribute whose addition lowers nu, per lower mask (n where none)
+    first = np.full(1 << g.n, g.n)
+    for i in reversed(range(g.n)):
+        lo, hi = lattice_halves(vals, i)
+        lattice_halves(first, i)[0][hi - lo < -MONOTONICITY_SLACK] = i
+    bad = np.flatnonzero(first < g.n)
     violating = None
-    for mask in range(1 << g.n):
-        for i in range(g.n):
-            bit = 1 << i
-            if mask & bit:
-                continue
-            if vals[mask | bit] - vals[mask] < -MONOTONICITY_SLACK:
-                violating = (subset_of(mask), subset_of(mask | bit))
-                break
-        if violating:
-            break
+    if bad.size:
+        mask = int(bad[0])
+        violating = (subset_of(mask), subset_of(mask | 1 << int(first[mask])))
     normalized = abs(vals[g.full_mask] - 1.0) <= NORMALIZATION_TOL
     return CapacityCheck(violating is None, normalized, violating)
 
@@ -247,19 +269,12 @@ def orness(g: SetFunction) -> float:
 def random_capacity(n: int, rng: np.random.Generator) -> SetFunction:
     """Random capacity: iid uniform scores forced monotone by running maxima
     over the subset lattice, then normalized to nu(N) = 1."""
-    size = 1 << n
-    raw = rng.random(size)
-    vals = np.zeros(size)
-    for mask in range(1, size):
-        best = raw[mask]
-        m = mask
-        while m:
-            bit = m & -m
-            best = max(best, vals[mask ^ bit])
-            m ^= bit
-        vals[mask] = best
-    vals /= vals[-1]
+    vals = rng.random(1 << n)
     vals[0] = 0.0
+    for i in range(n):
+        lo, hi = lattice_halves(vals, i)
+        np.maximum(hi, lo, out=hi)
+    vals /= vals[-1]
     return SetFunction(n, vals)
 
 

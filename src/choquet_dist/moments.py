@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import SetFunction, subset_sizes
+from .capacity import SetFunction, ranked_zeta, subset_sizes
 
 
 @dataclass
@@ -58,21 +58,14 @@ def _spacing_product(provider, n: int, t1: int, t2: int) -> float:
 
 def nested_pair_level_sums(g: SetFunction) -> np.ndarray:
     """P[s, t] = sum of nu(T1) nu(T2) over strict nestings T1 < T2 with
-    |T1| = s, |T2| = t; computed by iterating proper submasks (3^n pairs)."""
+    |T1| = s, |T2| = t; the ranked zeta transform of nu, weighted by nu(T2)
+    and summed over each level |T2| = t, then kept above the diagonal."""
     n = g.n
-    vals = g.values
     sizes = subset_sizes(n)
-    P = np.zeros((n + 1, n + 1))
-    for m2 in range(1, 1 << n):
-        v2 = vals[m2]
-        if v2 == 0.0:
-            continue
-        t = sizes[m2]
-        sub = (m2 - 1) & m2
-        while sub:
-            P[sizes[sub], t] += vals[sub] * v2
-            sub = (sub - 1) & m2
-    return P
+    z = ranked_zeta(g.values, n)
+    z *= g.values
+    P = np.stack([np.bincount(sizes, weights=row, minlength=n + 1) for row in z])
+    return np.triu(P, k=1)
 
 
 def mean(g: SetFunction, provider) -> float:

@@ -14,14 +14,12 @@ while r = 1, 2 also have direct closed forms used to cross-check it.
 from __future__ import annotations
 
 import math
-from itertools import product
 
 import numpy as np
 
-from .capacity import Chain, SetFunction, enumerate_chains
+from .capacity import (Chain, SetFunction, enumerate_chains, ranked_zeta,
+                       subset_sizes)
 from .divdiff import dd_generic, tp_minus_dd, tp_plus_dd
-
-LEVEL_ENUM_CAP = 10**8
 
 
 class UniformChoquetDist:
@@ -57,37 +55,23 @@ class UniformChoquetDist:
     def raw_moment(self, r: int) -> float:
         """E[Y^r] as the exact lattice sum over nested subset chains.
 
-        Each map from attributes to entry levels 1..r+1 encodes one chain
-        T_1 <= ... <= T_r (attribute j belongs to T_i iff its level is <= i),
-        so the sum has (r+1)^n terms; capped to keep runtime sane.
+        Summing nu(T_1) ... nu(T_r) / prod C(|T_{i+1}|, |T_i|) over the chains
+        T_1 <= ... <= T_r <= T_{r+1} = N takes r - 1 chained ranked zeta
+        transforms, each weighted by 1/C(|T|, s), and one contraction at N.
         """
         if r < 1:
             raise ValueError("moment order must be >= 1")
         n = self.game.n
-        if (r + 1) ** n > LEVEL_ENUM_CAP:
-            raise ValueError(f"(r+1)^n = {(r + 1) ** n} exceeds the enumeration cap")
         vals = self.game.values
-        full = self.game.full_mask
-        binom = [[math.comb(a, b) for b in range(n + 1)] for a in range(n + 1)]
-        total = 0.0
-        for levels in product(range(1, r + 2), repeat=n):
-            bits_at = [0] * (r + 2)
-            for j, lv in enumerate(levels):
-                bits_at[lv] |= 1 << j
-            term = 1.0
-            mask = 0
-            masks = []
-            for i in range(1, r + 1):
-                mask |= bits_at[i]
-                masks.append(mask)
-            masks.append(full)
-            for i in range(r):
-                lo, hi = masks[i], masks[i + 1]
-                term *= vals[lo] / binom[hi.bit_count()][lo.bit_count()]
-                if term == 0.0:
-                    break
-            total += term
-        return total / math.comb(n + r, r)
+        sizes = subset_sizes(n)
+        # inv_binom[s, t] = 1/C(t, s); 0 where s > t, as no s-subset lies in T
+        inv_binom = np.array([[1.0 / math.comb(t, s) if s <= t else 0.0
+                               for t in range(n + 1)] for s in range(n + 1)])
+        f = vals
+        for _ in range(r - 1):
+            z = ranked_zeta(f, n)
+            f = vals * sum(z[s] * inv_binom[s, sizes] for s in range(n + 1))
+        return float(f @ inv_binom[sizes, n]) / math.comb(n + r, r)
 
     def expect_gn(self, f) -> float:
         """sum over permutations of the divided difference of f at the chain
@@ -119,7 +103,6 @@ def closed_form_second_moment(g: SetFunction) -> float:
     """E[Y^2] = 2/((n+1)(n+2)) sum_{T1 subset-eq T2} nu(T1)nu(T2)
     / (C(|T2|,|T1|) C(n,|T2|))."""
     from .moments import nested_pair_level_sums
-    from .capacity import subset_sizes
 
     n = g.n
     P = nested_pair_level_sums(g)

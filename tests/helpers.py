@@ -4,6 +4,7 @@ Everything here is deliberately written from first principles (explicit
 sorting, textbook densities, brute-force quadrature) and stays independent of
 the library code paths it checks.
 """
+import itertools
 import math
 
 import numpy as np
@@ -109,3 +110,72 @@ def rational_dd_with_scale(knots, y: float, variant: str, degree: int):
         total += g / denom
         scale += abs(g / denom)
     return total, scale
+
+
+def game_kinds(n: int, rng) -> dict:
+    """Value arrays (indexed by mask, entry 0 = 0) of five kinds of game on n
+    attributes: generic, signed, tied (rounded to quarters), symmetric and zero."""
+    sizes = np.array([bin(m).count("1") for m in range(1 << n)])
+    generic = rng.random(1 << n)
+    generic[0] = 0.0
+    signed = rng.normal(size=1 << n)
+    signed[0] = 0.0
+    level = np.concatenate([[0.0], rng.random(n)])
+    return {"generic": generic, "signed": signed, "tied": np.round(generic * 4.0) / 4.0,
+            "symmetric": level[sizes], "zero": np.zeros(1 << n)}
+
+
+def brute_nested_pairs(g) -> np.ndarray:
+    """P[s, t] = sum of nu(T1) nu(T2) over strict nestings T1 < T2 with
+    |T1| = s, |T2| = t, by walking the proper submasks of every mask (3^n)."""
+    n = g.n
+    vals = g.values
+    P = np.zeros((n + 1, n + 1))
+    for m2 in range(1, 1 << n):
+        v2 = vals[m2]
+        if v2 == 0.0:
+            continue
+        t = m2.bit_count()
+        sub = (m2 - 1) & m2
+        while sub:
+            P[sub.bit_count(), t] += vals[sub] * v2
+            sub = (sub - 1) & m2
+    return P
+
+
+def brute_raw_moment(g, r: int) -> float:
+    """E[Y^r] under uniform inputs by enumerating the (r+1)^n maps from
+    attributes to entry levels 1..r+1; each encodes one chain T_1 <= ... <= T_r
+    (attribute j belongs to T_i iff its level is <= i)."""
+    n = g.n
+    vals = g.values
+    full = (1 << n) - 1
+    total = 0.0
+    for levels in itertools.product(range(1, r + 2), repeat=n):
+        bits_at = [0] * (r + 2)
+        for j, lv in enumerate(levels):
+            bits_at[lv] |= 1 << j
+        masks = list(itertools.accumulate(bits_at[1:r + 1], lambda a, b: a | b)) + [full]
+        term = 1.0
+        for lo, hi in zip(masks, masks[1:]):
+            term *= vals[lo] / math.comb(hi.bit_count(), lo.bit_count())
+        total += term
+    return total / math.comb(n + r, r)
+
+
+def brute_random_capacity(raw: np.ndarray) -> np.ndarray:
+    """Running maximum of the scores over the subset lattice, mask by mask,
+    normalized to nu(N) = 1: the values random_capacity draws from raw."""
+    size = len(raw)
+    vals = np.zeros(size)
+    for mask in range(1, size):
+        best = raw[mask]
+        m = mask
+        while m:
+            bit = m & -m
+            best = max(best, vals[mask ^ bit])
+            m ^= bit
+        vals[mask] = best
+    vals /= vals[-1]
+    vals[0] = 0.0
+    return vals

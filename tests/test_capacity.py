@@ -8,7 +8,7 @@ from choquet_dist import (CapacityFormatError, chain_for, check_capacity,
                           orness, random_capacity)
 from choquet_dist.capacity import game_from_dict, game_to_dict, n_max
 
-from helpers import brute_choquet
+from helpers import brute_choquet, brute_random_capacity
 from conftest import REF_VALUES
 
 
@@ -26,6 +26,8 @@ def test_make_game_reference(ref_capacity):
 def test_make_game_missing_subset():
     with pytest.raises(CapacityFormatError, match="missing"):
         make_game(2, {(1,): 0.3, (2,): 0.4})
+    with pytest.raises(CapacityFormatError, match="missing"):
+        make_game(40, {})  # refused before 2^40 values are allocated
 
 
 def test_make_game_rejects_nonzero_empty():
@@ -50,6 +52,16 @@ def test_check_capacity_violation():
     s, t = chk.violating_pair
     assert set(s) < set(t)
     assert g.value_of(s) > g.value_of(t)
+
+
+def test_check_capacity_reports_first_violation():
+    # violations at {1} (adding 3 or 4) and at {2} (adding 1 or 3): the
+    # smallest lower mask wins, then the lowest added attribute
+    vals = {s: len(s) / 4 for s in _all_nonempty(4)}
+    vals.update({(1,): 0.6, (1, 2): 0.7, (1, 3): 0.4, (1, 4): 0.3, (2,): 0.8})
+    chk = check_capacity(make_game(4, vals))
+    assert not chk.is_monotone and chk.is_normalized
+    assert chk.violating_pair == ((1,), (1, 3))
 
 
 def test_check_capacity_additive_uniform():
@@ -220,11 +232,19 @@ def test_random_capacity_is_capacity(rng):
         assert chk.is_monotone and chk.is_normalized
 
 
+def test_random_capacity_matches_running_max_oracle():
+    for n in range(1, 11):
+        g = random_capacity(n, np.random.default_rng(n))
+        raw = np.random.default_rng(n).random(1 << n)
+        assert np.array_equal(g.values, brute_random_capacity(raw))
+
+
 def test_nmax_env_override(monkeypatch):
     monkeypatch.setenv("CHOQUET_NMAX", "3")
     assert n_max() == 3
-    with pytest.raises(CapacityFormatError, match="maximum"):
-        make_game(4, {s: 1.0 for s in _all_nonempty(4)})
+    g = make_game(4, {s: 1.0 for s in _all_nonempty(4)})  # building never enumerates
+    with pytest.raises(ValueError, match="CHOQUET_NMAX"):
+        next(enumerate_chains(g))
 
 
 def test_enumerate_chains_respects_cap():

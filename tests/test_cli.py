@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choquet_dist import ks_statistic
+from choquet_dist import (closed_form_mean, closed_form_sd, ks_statistic,
+                          power_weight_game, save_capacity)
 from choquet_dist.cli import main, parse_grid
 from choquet_dist.capacity import CapacityFormatError
 
@@ -67,6 +68,22 @@ def test_moments_normal_order3(capsys):
     assert code == 0
     assert doc["mean"] == pytest.approx(-0.0141, abs=1e-3)
     assert doc["sd"] == pytest.approx(0.6154, abs=1e-3)
+
+
+def test_moments_above_enumeration_cap(tmp_path, capsys):
+    # moments never walk chains, so n = 12 works; pdf enumerates and refuses
+    g = power_weight_game(12, 2.0)
+    path = tmp_path / "n12.json"
+    save_capacity(g, path)
+    code, out, _ = run_cli(capsys, "moments", "--law", "uniform", "--capacity", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["mean"] == pytest.approx(closed_form_mean(g), abs=1e-10)
+    assert doc["sd"] == pytest.approx(closed_form_sd(g), abs=1e-10)
+    code, _, err = run_cli(capsys, "pdf", "--law", "uniform", "--capacity", str(path),
+                           "--grid", "0:1:5")
+    assert code == 2
+    assert "CHOQUET_NMAX" in err
 
 
 def test_pdf_grid_csv(tmp_path, capsys):

@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
 
-from choquet_dist import (ExponentialOrderStats, UniformOrderStats,
+from choquet_dist import (ExponentialOrderStats, SetFunction, UniformOrderStats,
                           make_game, moments_report, provider_for,
                           random_capacity)
 from choquet_dist.capacity import subset_sizes
-from choquet_dist.moments import mean, second_raw_moment
+from choquet_dist.moments import mean, nested_pair_level_sums, second_raw_moment
 from choquet_dist.montecarlo import sample_values
+
+from helpers import brute_nested_pairs, game_kinds
 
 
 def _all_nonempty(n):
@@ -118,6 +121,15 @@ def test_second_moment_matches_multiplicity_form(rng):
             prov = provider_for(law, n)
             assert second_raw_moment(g, prov) == pytest.approx(
                 _second_moment_multiplicity_form(g, prov), abs=1e-12)
+
+
+def test_nested_pair_level_sums_match_submask_walk(rng):
+    for n in range(1, 7):
+        for kind, vals in game_kinds(n, rng).items():
+            g = SetFunction(n, vals)
+            got, want = nested_pair_level_sums(g), brute_nested_pairs(g)
+            assert not np.isnan(got).any(), kind
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=kind)
 
 
 def test_moments_match_monte_carlo(rng):

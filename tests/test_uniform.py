@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from choquet_dist import (UniformChoquetDist, UniformOrderStats, bspline,
-                          closed_form_mean, closed_form_second_moment,
+from choquet_dist import (SetFunction, UniformChoquetDist, UniformOrderStats,
+                          bspline, closed_form_mean, closed_form_second_moment,
                           make_game, random_capacity)
 from choquet_dist.moments import mean as general_mean
 from choquet_dist.moments import second_raw_moment
 from choquet_dist.montecarlo import ks_statistic, sample_values
+
+from helpers import brute_raw_moment, game_kinds
 
 
 def _all_nonempty(n):
@@ -106,6 +108,30 @@ def test_raw_moment_matches_closed_forms_random_games(rng):
         d = UniformChoquetDist(g)
         assert d.raw_moment(1) == pytest.approx(closed_form_mean(g), abs=1e-13)
         assert d.raw_moment(2) == pytest.approx(closed_form_second_moment(g), abs=1e-13)
+
+
+def test_raw_moment_matches_level_enumeration(rng):
+    for n in range(1, 7):
+        for kind, vals in game_kinds(n, rng).items():
+            g = SetFunction(n, vals)
+            d = UniformChoquetDist(g)
+            for r in range(1, 6):
+                got = d.raw_moment(r)
+                assert not math.isnan(got), (kind, n, r)
+                assert got == pytest.approx(brute_raw_moment(g, r), rel=1e-12, abs=0), \
+                    (kind, n, r)
+
+
+def test_raw_moment_max_and_min_capacities_high_order():
+    # Y is the maximum (resp. minimum) of n uniforms: E[Y^r] = n/(n+r)
+    # (resp. 1/C(n+r, r)); (r+1)^n level maps would number 11^8 at r = 10
+    n = 8
+    d_max = UniformChoquetDist(make_game(n, {s: 1.0 for s in _all_nonempty(n)}))
+    d_min = UniformChoquetDist(make_game(n, {s: float(len(s) == n)
+                                             for s in _all_nonempty(n)}))
+    for r in range(1, 11):
+        assert d_max.raw_moment(r) == pytest.approx(n / (n + r), rel=1e-12)
+        assert d_min.raw_moment(r) == pytest.approx(1 / math.comb(n + r, r), rel=1e-12)
 
 
 def test_raw_moment_first_equals_pdf_integral(ref_capacity):

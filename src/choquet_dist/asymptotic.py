@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from .capacity import Chain, SetFunction, enumerate_chains
+from .capacity import Chain, SetFunction, chain_for, enumerate_chains
 from .normal import norm_cdf, norm_pdf
 from .osmoments import QuantileModel
 
@@ -125,7 +125,7 @@ def _component_stats(weights: np.ndarray, provider) -> tuple[float, float]:
 def mixture_approx(g: SetFunction, provider) -> MixtureApprox:
     """Per-ordering normal components from exact or series moments."""
     if g.is_symmetric():
-        ch = _identity_chain(g)
+        ch = chain_for(g, range(1, g.n + 1))
         m, v = _component_stats(ch.weights, provider)
         return MixtureApprox(np.array([1.0]), np.array([m]), np.array([v]))
     chains = list(enumerate_chains(g))
@@ -134,11 +134,6 @@ def mixture_approx(g: SetFunction, provider) -> MixtureApprox:
     return MixtureApprox(np.full(k, 1.0 / k),
                          np.array([s[0] for s in stats]),
                          np.array([s[1] for s in stats]))
-
-
-def _identity_chain(g: SetFunction) -> Chain:
-    from .capacity import chain_for
-    return chain_for(g, range(1, g.n + 1))
 
 
 def mixture_pdf(m: MixtureApprox, y):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import dataclass
 from itertools import permutations
@@ -147,10 +148,11 @@ class Chain:
 def make_game(n: int, values: Mapping) -> SetFunction:
     """Build a game from a subset -> value map.
 
-    Keys are iterables of attribute indices in 1..n.  Every nonempty subset
-    must be assigned; the empty set defaults to 0 and may only be given as 0.
+    Keys are iterables of attribute indices in 1..n and values are real
+    numbers (not booleans).  Every nonempty subset must be assigned; the empty
+    set defaults to 0 and may only be given as 0.
     """
-    if not isinstance(n, int) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise CapacityFormatError(f"n must be a positive integer, got {n!r}")
     if len(values) < (1 << n) - 1:
         raise CapacityFormatError(f"missing subsets: {len(values)} values given for the "
@@ -159,6 +161,8 @@ def make_game(n: int, values: Mapping) -> SetFunction:
     seen = np.zeros(1 << n, dtype=bool)
     for key, val in values.items():
         m = mask_of(key, n)
+        if isinstance(val, bool) or not isinstance(val, numbers.Real):
+            raise CapacityFormatError(f"subset {subset_of(m)} needs a number, got {val!r}")
         if seen[m]:
             raise CapacityFormatError(f"subset {subset_of(m)} assigned twice")
         if m == 0 and val != 0:
@@ -304,13 +308,10 @@ def parse_subset_key(key: str) -> tuple[int, ...]:
 def game_from_dict(doc: Mapping) -> SetFunction:
     if "n" not in doc or "values" not in doc:
         raise CapacityFormatError('capacity JSON needs the keys "n" and "values"')
-    n = doc["n"]
-    if not isinstance(n, int):
-        raise CapacityFormatError(f'"n" must be an integer, got {n!r}')
     vals = doc["values"]
     if not isinstance(vals, Mapping):
         raise CapacityFormatError('"values" must map subset keys to numbers')
-    return make_game(n, {parse_subset_key(k): v for k, v in vals.items()})
+    return make_game(doc["n"], {parse_subset_key(k): v for k, v in vals.items()})
 
 
 def game_to_dict(g: SetFunction) -> dict:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,26 +21,13 @@ from .capacity import (CapacityFormatError, check_capacity, load_capacity,
                        orness)
 from .exponential import ExponentialChoquetDist, RegularityError
 from .moments import moments_report
-from .osmoments import provider_for, quantile_model_for
+from .osmoments import LAWS, law_for, provider_for
 from .montecarlo import sample
 from .uniform import UniformChoquetDist
 
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
-
-
-@dataclass
-class RunConfig:
-    command: str
-    law: str | None = None
-    capacity: str | None = None
-    grid: str | None = None  # "start:end:steps"
-    dj_order: int = 2
-    seed: int = 0
-    n: int | None = None
-    a: float | None = None
-    out: str | None = None
 
 
 def parse_grid(text: str) -> tuple[float, float, int]:
@@ -51,6 +38,8 @@ def parse_grid(text: str) -> tuple[float, float, int]:
         a, b, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise CapacityFormatError(f"bad grid specification {text!r}") from None
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise CapacityFormatError(f"grid endpoints must be finite, got {text!r}")
     if steps < 2:
         raise CapacityFormatError("grid needs at least 2 steps")
     if not b > a:
@@ -70,13 +59,12 @@ def _emit_json(doc: dict, out_path=None) -> None:
     _emit([json.dumps(doc)], out_path)
 
 
-def _grid_values(cfg: RunConfig) -> np.ndarray:
-    a, b, steps = parse_grid(cfg.grid)
-    return np.linspace(a, b, steps)
+def _grid_values(text: str) -> np.ndarray:
+    return np.linspace(*parse_grid(text))
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    g = load_capacity(cfg.capacity)
+def cmd_validate(args: argparse.Namespace) -> int:
+    g = load_capacity(args.capacity)
     chk = check_capacity(g)
     if chk.is_monotone and chk.is_normalized:
         print(f"capacity ok: n={g.n}, nu(N)={_fmt(g[g.full_mask])}")
@@ -89,102 +77,95 @@ def cmd_validate(cfg: RunConfig) -> int:
     return 2
 
 
-def cmd_moments(cfg: RunConfig) -> int:
-    g = load_capacity(cfg.capacity)
-    provider = provider_for(cfg.law, g.n, cfg.dj_order)
+def cmd_moments(args: argparse.Namespace) -> int:
+    g = load_capacity(args.capacity)
+    provider = provider_for(args.law, g.n, args.dj_order)
     rep = moments_report(g, provider)
-    _emit_json({"mean": float(_fmt(rep.mean)), "sd": float(_fmt(rep.sd))}, cfg.out)
+    _emit_json({"mean": float(_fmt(rep.mean)), "sd": float(_fmt(rep.sd))}, args.out)
     return 0
 
 
-def _density_report(cfg: RunConfig):
-    """Tabulated grid plus the moment summary, and knot locations (the pdf is
-    only piecewise smooth across them under the uniform law)."""
-    g = load_capacity(cfg.capacity)
-    ys = _grid_values(cfg)
+def cmd_pdf(args: argparse.Namespace) -> int:
+    """Exact pdf and cdf on the grid; with --out, also the moment summary and
+    the knots (the pdf is only piecewise smooth across them under the uniform
+    law)."""
+    g = load_capacity(args.capacity)
+    ys = _grid_values(args.grid)
     knots: list[float] = []
-    if cfg.law == "uniform":
+    if args.law == "uniform":
         dist = UniformChoquetDist(g)
-        rep = moments_report(g, provider_for("uniform", g.n))
         knots = [float(k) for k in dist.knot_values()]
-    elif cfg.law == "exponential":
+    elif args.law == "exponential":
         dist = ExponentialChoquetDist(g)
-        rep = moments_report(g, provider_for("exponential", g.n))
     else:
         raise CapacityFormatError(
-            f"exact pdf/cdf is available for uniform and exponential laws, not {cfg.law!r}; "
+            f"exact pdf/cdf is available for uniform and exponential laws, not {args.law!r}; "
             "see the mixture command for the normal approximation")
-    rep.y, rep.pdf, rep.cdf = ys, dist.pdf(ys), dist.cdf(ys)
-    return rep, knots
-
-
-def cmd_pdf(cfg: RunConfig) -> int:
-    rep, knots = _density_report(cfg)
+    rep = moments_report(g, provider_for(args.law, g.n))
+    pdf, cdf = dist.pdf(ys), dist.cdf(ys)
     rows = ["y,pdf,cdf"]
-    rows += [f"{_fmt(y)},{_fmt(p)},{_fmt(c)}"
-             for y, p, c in zip(rep.y, rep.pdf, rep.cdf)]
-    _emit(rows, cfg.out)
-    if cfg.out:
-        _emit_json({"rows": len(rep.y), "mean": float(_fmt(rep.mean)),
+    rows += [f"{_fmt(y)},{_fmt(p)},{_fmt(c)}" for y, p, c in zip(ys, pdf, cdf)]
+    _emit(rows, args.out)
+    if args.out:
+        _emit_json({"rows": len(ys), "mean": float(_fmt(rep.mean)),
                     "sd": float(_fmt(rep.sd)),
                     "knots": [float(_fmt(k)) for k in knots]})
     return 0
 
 
-def cmd_mixture(cfg: RunConfig) -> int:
-    g = load_capacity(cfg.capacity)
-    provider = provider_for(cfg.law, g.n, cfg.dj_order)
+def cmd_mixture(args: argparse.Namespace) -> int:
+    g = load_capacity(args.capacity)
+    provider = provider_for(args.law, g.n, args.dj_order)
     mix = mixture_approx(g, provider)
-    ys = _grid_values(cfg)
+    ys = _grid_values(args.grid)
     pdf = mixture_pdf(mix, ys)
     rows = ["y,mixture_pdf"] + [f"{_fmt(y)},{_fmt(p)}" for y, p in zip(ys, pdf)]
-    _emit(rows, cfg.out)
+    _emit(rows, args.out)
     # validity of the normal approximation cannot be checked from data; the
     # orness degree is the customary heuristic, so surface it alongside
     try:
         balance = float(_fmt(orness(g)))
     except ValueError:
         balance = None
-    if cfg.out:
+    if args.out:
         _emit_json({"components": len(mix.weights), "orness": balance,
                     "note": "asymptotic validity is heuristic; orness near 0 "
                             "or 1 warns of min/max-like behavior"})
     return 0
 
 
-def cmd_stigler(cfg: RunConfig) -> int:
-    law = cfg.law or "uniform"
-    provider = provider_for(law, cfg.n, cfg.dj_order)
-    qm = quantile_model_for(law)
-    J = WeightFunction.power(cfg.a)
-    game = power_weight_game(cfg.n, cfg.a)
+def cmd_stigler(args: argparse.Namespace) -> int:
+    provider = provider_for(args.law, args.n, args.dj_order)
+    qm = law_for(args.law).quantile_model()
+    J = WeightFunction.power(args.a)
+    game = power_weight_game(args.n, args.a)
     mix = mixture_approx(game, provider)
     _emit_json({
         "alpha": float(_fmt(alpha(J, qm))),
         "beta2": float(_fmt(beta2(J, qm))),
         "component_mean": float(_fmt(mix.means[0])),
-        "n_times_variance": float(_fmt(cfg.n * mix.variances[0])),
-    }, cfg.out)
+        "n_times_variance": float(_fmt(args.n * mix.variances[0])),
+    }, args.out)
     return 0
 
 
-def cmd_sample(cfg: RunConfig) -> int:
-    g = load_capacity(cfg.capacity)
-    rep = sample(g, cfg.law, cfg.n, cfg.seed)
-    if cfg.out:
-        _emit(["y"] + [_fmt(v) for v in rep.ecdf], cfg.out)
+def cmd_sample(args: argparse.Namespace) -> int:
+    g = load_capacity(args.capacity)
+    rep = sample(g, args.law, args.n, args.seed)
+    if args.out:
+        _emit(["y"] + [_fmt(v) for v in rep.ecdf], args.out)
     print(json.dumps({
         "n_samples": rep.n_samples,
         "mean": float(_fmt(rep.mean)),
         "sd": float(_fmt(rep.sd)),
         "standard_error": float(_fmt(rep.standard_error)),
-        "seed": cfg.seed,
+        "seed": args.seed,
     }))
     return 0
 
 
-def cmd_orness(cfg: RunConfig) -> int:
-    g = load_capacity(cfg.capacity)
+def cmd_orness(args: argparse.Namespace) -> int:
+    g = load_capacity(args.capacity)
     _emit_json({"orness": float(_fmt(orness(g)))})
     return 0
 
@@ -198,9 +179,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_capacity(sp):
         sp.add_argument("--capacity", required=True, help="capacity JSON file")
 
-    def add_law(sp, required=True):
-        sp.add_argument("--law", choices=("uniform", "exponential", "normal"),
-                        required=required)
+    def add_law(sp):
+        sp.add_argument("--law", choices=tuple(LAWS), required=True)
 
     def add_grid(sp):
         sp.add_argument("--grid", required=True, help="start:end:steps")
@@ -227,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "for the power-weight family")
     sp.add_argument("--a", type=float, required=True, help="weight exponent, > 0")
     sp.add_argument("--n", type=int, required=True, help="number of inputs")
-    add_law(sp, required=False); add_common(sp)
+    sp.add_argument("--law", choices=tuple(LAWS), default="uniform")
+    add_common(sp)
 
     sp = sub.add_parser("sample", help="Monte Carlo run; JSON summary, optional CSV")
     add_capacity(sp); add_law(sp)
@@ -252,9 +233,9 @@ _HANDLERS = {
 }
 
 
-def run(cfg: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        return _HANDLERS[cfg.command](cfg)
+        return _HANDLERS[args.command](args)
     except CapacityFormatError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2
@@ -267,19 +248,7 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        command=args.command,
-        law=getattr(args, "law", None),
-        capacity=getattr(args, "capacity", None),
-        grid=getattr(args, "grid", None),
-        dj_order=getattr(args, "dj_order", 2),
-        seed=getattr(args, "seed", 0),
-        n=getattr(args, "n", None),
-        a=getattr(args, "a", None),
-        out=getattr(args, "out", None),
-    )
-    return run(cfg)
+    return run(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -24,15 +24,12 @@ from .capacity import SetFunction, ranked_zeta, subset_sizes
 
 @dataclass
 class DistributionReport:
-    """Moment summary, with optional tabulated grids attached by the CLI."""
+    """Mean, variance and standard deviation of the integral under one law."""
 
     law: str
     mean: float
     variance: float
     sd: float
-    y: np.ndarray | None = None
-    pdf: np.ndarray | None = None
-    cdf: np.ndarray | None = None
 
 
 def _spacing_mean(provider, n: int, t: int) -> float:

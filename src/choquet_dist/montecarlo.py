@@ -2,10 +2,11 @@
 
 Sampling is deterministic given the seed: the generator is numpy's PCG64
 (seeded through SeedSequence), inputs are drawn as uniforms and pushed
-through the inverse cdf of the requested law, and the integral is evaluated
-with the same vectorized routine everywhere.  Normal variates use the
-package's own quantile function, so sampled and series-approximated results
-share one inverse-cdf implementation by construction.
+through the quantile function of the requested law, and the integral is
+evaluated with the same vectorized routine everywhere.  The quantile function
+is the one the law registry (``osmoments.LAWS``) gives the David-Johnson
+series, so sampled and series-approximated results share one inverse cdf by
+construction.
 """
 from __future__ import annotations
 
@@ -16,9 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .capacity import SetFunction, choquet_values
-from .normal import norm_ppf
-
-LAWS = ("uniform", "exponential", "normal")
+from .osmoments import law_for
 
 
 @dataclass(frozen=True)
@@ -33,16 +32,6 @@ class MCReport:
     ks_vs_reference: float | None = None
 
 
-def _transform(law: str, u: np.ndarray) -> np.ndarray:
-    if law == "uniform":
-        return u
-    if law == "exponential":
-        return -np.log1p(-u)
-    if law == "normal":
-        return norm_ppf(u)
-    raise ValueError(f"unknown law {law!r}; expected one of {LAWS}")
-
-
 def sample_values(g: SetFunction, law: str, n_samples: int, seed: int) -> np.ndarray:
     """Unsorted vector of n_samples Choquet integral draws."""
     if n_samples < 2:
@@ -50,7 +39,7 @@ def sample_values(g: SetFunction, law: str, n_samples: int, seed: int) -> np.nda
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random((n_samples, g.n))
     np.clip(u, 1e-16, 1.0 - 1e-16, out=u)  # keep inverse cdfs finite
-    return choquet_values(g, _transform(law, u))
+    return choquet_values(g, law_for(law).quantile_model().quantile(u))
 
 
 def sample(g: SetFunction, law: str, n_samples: int, seed: int,

@@ -8,12 +8,19 @@ powers of 1/(n+2).  The order-(n+2)^-2 truncation is the default; the
 order-(n+2)^-3 terms are included behind the ``order=3`` flag.  A uniform
 quantile model (identity G) collapses every series to the exact uniform
 values, which is used as a structural test elsewhere.
+
+``LAWS`` is the one registry of input laws: each name maps to its quantile
+model and, for the uniform and exponential laws, the exact provider.  The
+moment providers, the Monte Carlo sampler and the CLI all read it, so adding
+a law is one entry.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .normal import norm_pdf, norm_ppf
 
@@ -116,7 +123,7 @@ def exponential_quantile_model() -> QuantileModel:
     """G(u) = -log(1-u); the k-th derivative is (k-1)!/(1-u)^k."""
     derivs = tuple((lambda k: lambda u: math.factorial(k - 1) / (1.0 - u) ** k)(k)
                    for k in range(1, 7))
-    return QuantileModel("exponential", lambda u: -math.log1p(-u), derivs)
+    return QuantileModel("exponential", lambda u: -np.log1p(-u), derivs)
 
 
 def normal_quantile_model() -> QuantileModel:
@@ -286,22 +293,40 @@ class DavidJohnsonOrderStats:
         return dj_product(self.qm, i, j, self.n, self.order)
 
 
+# ---------------------------------------------------------------------------
+# law registry: the one table every caller dispatches through
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Law:
+    """An input law: a factory for its quantile model and, where the
+    order-statistic moments have closed forms, the exact provider class."""
+
+    quantile_model: Callable[[], QuantileModel]
+    exact_stats: Callable[[int], object] | None = None
+
+
+# Factories, not built models: a model built here would capture norm_ppf at
+# import time, so later rebinding of the name would not reach it.
+LAWS = {
+    "uniform": Law(uniform_quantile_model, UniformOrderStats),
+    "exponential": Law(exponential_quantile_model, ExponentialOrderStats),
+    "normal": Law(normal_quantile_model),
+}
+
+
+def law_for(name: str) -> Law:
+    """The registry entry of the named law; ValueError for an unknown name."""
+    try:
+        return LAWS[name]
+    except KeyError:
+        raise ValueError(f"unknown law {name!r}; expected one of {', '.join(LAWS)}") from None
+
+
 def provider_for(law: str, n: int, dj_order: int = 2):
-    """Provider factory keyed by law name (uniform, exponential, normal)."""
-    if law == "uniform":
-        return UniformOrderStats(n)
-    if law == "exponential":
-        return ExponentialOrderStats(n)
-    if law == "normal":
-        return DavidJohnsonOrderStats(normal_quantile_model(), n, dj_order)
-    raise ValueError(f"unknown law {law!r}; expected uniform, exponential, or normal")
-
-
-def quantile_model_for(law: str) -> QuantileModel:
-    if law == "uniform":
-        return uniform_quantile_model()
-    if law == "exponential":
-        return exponential_quantile_model()
-    if law == "normal":
-        return normal_quantile_model()
-    raise ValueError(f"unknown law {law!r}; expected uniform, exponential, or normal")
+    """Order-statistic moments of the named law at n: exact where known,
+    otherwise the David-Johnson series of order dj_order."""
+    entry = law_for(law)
+    if entry.exact_stats is not None:
+        return entry.exact_stats(n)
+    return DavidJohnsonOrderStats(entry.quantile_model(), n, dj_order)

@@ -36,8 +36,14 @@ def test_make_game_rejects_nonzero_empty():
 
 
 def test_make_game_n_out_of_range():
-    with pytest.raises(CapacityFormatError):
-        make_game(n_max() + 1, {})
+    for n in (0, -1, 1.5, True):
+        with pytest.raises(CapacityFormatError, match="positive integer"):
+            make_game(n, {(1,): 1.0})
+
+
+def test_make_game_accepts_numpy_numbers():
+    g = make_game(2, {(1,): np.float64(0.25), (2,): np.float32(0.5), (1, 2): np.int64(1)})
+    assert list(g.values) == [0.0, 0.25, 0.5, 1.0]
 
 
 def test_check_capacity_reference(ref_capacity):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 from pathlib import Path
@@ -7,8 +8,9 @@ import pytest
 
 from choquet_dist import (closed_form_mean, closed_form_sd, ks_statistic,
                           power_weight_game, save_capacity)
-from choquet_dist.cli import main, parse_grid
+from choquet_dist.cli import build_parser, main, parse_grid
 from choquet_dist.capacity import CapacityFormatError
+from choquet_dist.osmoments import LAWS
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 REF = str(DOCS / "example_capacity.json")
@@ -28,6 +30,28 @@ def test_parse_grid():
         parse_grid("0:1:1")
     with pytest.raises(CapacityFormatError):
         parse_grid("1:0:10")
+    for text in ("0:inf:3", "-inf:0:3"):
+        with pytest.raises(CapacityFormatError, match="finite"):
+            parse_grid(text)
+
+
+def test_pdf_rejects_infinite_grid(capsys):
+    code, out, err = run_cli(capsys, "pdf", "--law", "uniform", "--capacity", REF,
+                             "--grid", "0:inf:3")
+    assert code == 2 and out == ""
+    assert "invalid input" in err
+
+
+def test_law_choices_come_from_registry():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    with_law = {}
+    for name, sp in sub.choices.items():
+        for action in sp._actions:
+            if action.dest == "law":
+                with_law[name] = action.choices
+    assert set(with_law) == {"moments", "pdf", "cdf", "mixture", "stigler", "sample"}
+    assert all(choices == tuple(LAWS) for choices in with_law.values())
 
 
 def test_validate_ok(capsys):
@@ -51,6 +75,20 @@ def test_validate_schema_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "validate", "--capacity", str(path))
     assert code == 2
     assert "missing" in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"n": True, "values": {"1": 1.0}},
+    {"n": 2, "values": {"1": None, "2": 0.5, "1,2": 1.0}},
+    {"n": 2, "values": {"1": "0.5", "2": 0.5, "1,2": 1.0}},
+    {"n": 2, "values": {"1": True, "2": 0.5, "1,2": 1.0}},
+])
+def test_validate_rejects_malformed_json(tmp_path, capsys, doc):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "validate", "--capacity", str(path))
+    assert code == 2 and out == ""
+    assert "invalid input" in err
 
 
 def test_moments_uniform(capsys):
@@ -154,6 +192,12 @@ def test_stigler_json(capsys):
     assert doc["beta2"] == pytest.approx(1 / 112, abs=1e-6)
     assert doc["component_mean"] == pytest.approx(21 / 80, abs=1e-9)
     assert 0 < doc["n_times_variance"] < 2 / 112
+
+
+def test_stigler_defaults_to_uniform(capsys):
+    default = run_cli(capsys, "stigler", "--a", "2", "--n", "20")
+    assert default == run_cli(capsys, "stigler", "--a", "2", "--n", "20", "--law", "uniform")
+    assert default[0] == 0
 
 
 def test_sample_round_trip(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -145,4 +146,4 @@ def test_report_fields(ref_capacity):
     rep = moments_report(ref_capacity, UniformOrderStats(3))
     assert rep.law == "uniform"
     assert rep.sd == pytest.approx(math.sqrt(rep.variance))
-    assert rep.y is None and rep.pdf is None and rep.cdf is None
+    assert [f.name for f in dataclasses.fields(rep)] == ["law", "mean", "variance", "sd"]

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from choquet_dist import (UniformChoquetDist, ks_statistic, make_game,
-                          sample, sample_values)
+from choquet_dist import (UniformChoquetDist, choquet_values, ks_statistic,
+                          make_game, sample, sample_values)
 from choquet_dist.moments import mean as general_mean
-from choquet_dist.osmoments import provider_for
+from choquet_dist.normal import norm_ppf
+from choquet_dist.osmoments import LAWS, provider_for
 
 
 def _all_nonempty(n):
@@ -43,6 +44,19 @@ def test_degenerate_zero_game():
     g = make_game(3, {s: 0.0 for s in _all_nonempty(3)})
     rep = sample(g, "uniform", 100, seed=0)
     assert rep.mean == 0.0 and rep.sd == 0.0
+
+
+INVERSE_CDF = {"uniform": lambda u: u,
+               "exponential": lambda u: -np.log1p(-u),
+               "normal": norm_ppf}
+
+
+@pytest.mark.parametrize("law", list(LAWS))
+def test_sample_values_draws_through_registry_quantile(ref_capacity, law):
+    u = np.random.Generator(np.random.PCG64(11)).random((500, 3))
+    np.clip(u, 1e-16, 1.0 - 1e-16, out=u)
+    want = choquet_values(ref_capacity, INVERSE_CDF[law](u))
+    assert np.array_equal(sample_values(ref_capacity, law, 500, seed=11), want)
 
 
 def test_unknown_law(ref_capacity):

@@ -9,7 +9,8 @@ from choquet_dist import (DavidJohnsonOrderStats, ExponentialOrderStats,
                           exponential_quantile_model, normal_quantile_model,
                           uniform_quantile_model)
 from choquet_dist.normal import norm_ppf
-from choquet_dist.osmoments import (exp_mean, exp_product, uniform_mean,
+from choquet_dist.osmoments import (LAWS, exp_mean, exp_product, law_for,
+                                    provider_for, uniform_mean,
                                     uniform_product, uniform_product_moment)
 from helpers import normal_os_mean_quad, normal_os_product_quad
 
@@ -203,3 +204,24 @@ def test_series_exponential_law_sanity():
     n = 5
     for i in (1, 3, 5):
         assert dj_mean(qm, i, n, 3) == pytest.approx(exp_mean(i, n), abs=0.02)
+
+
+# ---- law registry ----------------------------------------------------------
+
+def test_provider_for_reads_registry():
+    assert type(provider_for("uniform", 4)) is UniformOrderStats
+    assert type(provider_for("exponential", 4)) is ExponentialOrderStats
+    for order in (2, 3):
+        prov = provider_for("normal", 4, dj_order=order)
+        assert type(prov) is DavidJohnsonOrderStats
+        assert prov.order == order and prov.n == 4 and prov.law == "normal"
+
+
+def test_provider_for_unknown_law():
+    with pytest.raises(ValueError, match="unknown law"):
+        provider_for("cauchy", 3)
+
+
+def test_registry_models_carry_their_names():
+    for name in LAWS:
+        assert law_for(name).quantile_model().name == name

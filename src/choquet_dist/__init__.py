@@ -2,7 +2,7 @@
 
 Core objects: games/capacities on a finite set (:mod:`.capacity`), divided
 differences of truncated powers (:mod:`.divdiff`), order-statistic moment
-providers (:mod:`.osmoments`), exact uniform and exponential distributions
+records (:mod:`.osmoments`), exact uniform and exponential distributions
 (:mod:`.uniform`, :mod:`.exponential`), law-generic moments (:mod:`.moments`),
 the normal-mixture approximation (:mod:`.asymptotic`), and a seedable Monte
 Carlo oracle (:mod:`.montecarlo`).
@@ -12,7 +12,7 @@ from .capacity import (CapacityCheck, CapacityFormatError, Chain, SetFunction,
                        enumerate_chains, game_from_dict, game_to_dict,
                        load_capacity, make_game, orness, random_capacity,
                        save_capacity)
-from .divdiff import bspline, dd_generic, tp_dd_distinct, tp_minus_dd, tp_plus_dd
+from .divdiff import bspline, tp_minus_dd, tp_plus_dd
 from .exponential import (ExpChainCoeffs, ExponentialChoquetDist,
                           RegularityError, exp_cdf, exp_moments, exp_pdf,
                           is_regular, regularity_report)
@@ -23,9 +23,10 @@ from .asymptotic import (MixtureApprox, WeightFunction, alpha, beta2,
                          mixture_approx, mixture_cdf, mixture_pdf,
                          power_weight_game)
 from .osmoments import (DavidJohnsonOrderStats, ExponentialOrderStats,
-                        QuantileModel, UniformOrderStats, dj_mean, dj_product,
-                        exponential_quantile_model, normal_quantile_model,
-                        provider_for, uniform_quantile_model)
+                        OrderStats, QuantileModel, UniformOrderStats, dj_mean,
+                        dj_product, exponential_quantile_model,
+                        normal_quantile_model, provider_for,
+                        uniform_quantile_model)
 from .uniform import (UniformChoquetDist, closed_form_mean,
                       closed_form_sd, closed_form_second_moment)
 

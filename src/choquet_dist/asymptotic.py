@@ -25,7 +25,7 @@ from scipy import integrate
 
 from .capacity import Chain, SetFunction, chain_for, enumerate_chains
 from .normal import norm_cdf, norm_pdf
-from .osmoments import QuantileModel
+from .osmoments import OrderStats, QuantileModel
 
 
 @dataclass(frozen=True)
@@ -109,31 +109,18 @@ class MixtureApprox:
             raise ValueError("mixture weights must sum to 1")
 
 
-def _component_stats(weights: np.ndarray, provider) -> tuple[float, float]:
-    """Mean and variance of sum_i p_i X_{n-i+1:n} from provider moments."""
-    n = weights.size
-    mean = sum(weights[i - 1] * provider.mean(n - i + 1) for i in range(1, n + 1))
-    second = 0.0
-    for i in range(1, n + 1):
-        for k in range(1, n + 1):
-            a, b = n - i + 1, n - k + 1
-            second += (weights[i - 1] * weights[k - 1]
-                       * provider.product(min(a, b), max(a, b)))
-    return mean, second - mean * mean
+def mixture_approx(g: SetFunction, stats: OrderStats) -> MixtureApprox:
+    """Per-ordering normal components from exact or series moments.
 
-
-def mixture_approx(g: SetFunction, provider) -> MixtureApprox:
-    """Per-ordering normal components from exact or series moments."""
-    if g.is_symmetric():
-        ch = chain_for(g, range(1, g.n + 1))
-        m, v = _component_stats(ch.weights, provider)
-        return MixtureApprox(np.array([1.0]), np.array([m]), np.array([v]))
-    chains = list(enumerate_chains(g))
-    stats = [_component_stats(ch.weights, provider) for ch in chains]
-    k = len(chains)
-    return MixtureApprox(np.full(k, 1.0 / k),
-                         np.array([s[0] for s in stats]),
-                         np.array([s[1] for s in stats]))
+    Component k is sum_i p_i X_{n-i+1:n} with the weights p of chain k, so
+    with the weight rows reversed into order-statistic order its mean and
+    second moment contract the record's means and products.
+    """
+    chains = [chain_for(g, range(1, g.n + 1))] if g.is_symmetric() else enumerate_chains(g)
+    W = np.array([ch.weights[::-1] for ch in chains])
+    means = W @ stats.means
+    second = np.einsum("ki,ij,kj->k", W, stats.products, W)
+    return MixtureApprox(np.full(len(W), 1.0 / len(W)), means, second - means * means)
 
 
 def mixture_pdf(m: MixtureApprox, y):

@@ -122,6 +122,13 @@ def ranked_zeta(h: np.ndarray, n: int) -> np.ndarray:
     return z
 
 
+def inverse_binomials(n: int) -> np.ndarray:
+    """B[s, t] = 1/C(t, s) for s <= t <= n, and 0 where s > t (a t-set has no
+    s-subsets): the weights that turn ranked sums into averages."""
+    return np.array([[1.0 / math.comb(t, s) if s <= t else 0.0 for t in range(n + 1)]
+                     for s in range(n + 1)])
+
+
 @dataclass(frozen=True)
 class CapacityCheck:
     """Diagnostics from :func:`check_capacity`."""

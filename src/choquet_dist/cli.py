@@ -101,12 +101,12 @@ def cmd_pdf(args: argparse.Namespace) -> int:
         raise CapacityFormatError(
             f"exact pdf/cdf is available for uniform and exponential laws, not {args.law!r}; "
             "see the mixture command for the normal approximation")
-    rep = moments_report(g, provider_for(args.law, g.n))
     pdf, cdf = dist.pdf(ys), dist.cdf(ys)
     rows = ["y,pdf,cdf"]
     rows += [f"{_fmt(y)},{_fmt(p)},{_fmt(c)}" for y, p, c in zip(ys, pdf, cdf)]
     _emit(rows, args.out)
     if args.out:
+        rep = moments_report(g, provider_for(args.law, g.n))
         _emit_json({"rows": len(ys), "mean": float(_fmt(rep.mean)),
                     "sd": float(_fmt(rep.sd)),
                     "knots": [float(_fmt(k)) for k in knots]})
@@ -121,13 +121,13 @@ def cmd_mixture(args: argparse.Namespace) -> int:
     pdf = mixture_pdf(mix, ys)
     rows = ["y,mixture_pdf"] + [f"{_fmt(y)},{_fmt(p)}" for y, p in zip(ys, pdf)]
     _emit(rows, args.out)
-    # validity of the normal approximation cannot be checked from data; the
-    # orness degree is the customary heuristic, so surface it alongside
-    try:
-        balance = float(_fmt(orness(g)))
-    except ValueError:
-        balance = None
     if args.out:
+        # validity of the normal approximation cannot be checked from data;
+        # the orness degree is the customary heuristic, so surface it alongside
+        try:
+            balance = float(_fmt(orness(g)))
+        except ValueError:
+            balance = None
         _emit_json({"components": len(mix.weights), "orness": balance,
                     "note": "asymptotic validity is heuristic; orness near 0 "
                             "or 1 warns of min/max-like behavior"})

@@ -8,17 +8,13 @@ the two quantities computed here are the n-th order divided differences of
 where x_+^k is x^k for x > 0 and 0 otherwise, and x_-^k is x^k for x < 0 and
 0 otherwise.  Both are evaluated with the de Boor / Varsi recurrence: split
 the knots into b's (below y) and c's (at or above y), so every denominator
-c_l - b_k is positive and coincident knots cost nothing.  The classical
-rational formula for distinct knots is provided as well; it is mainly useful
-as a cross-check since it degrades badly near coincident knots.
+c_l - b_k is positive and coincident knots cost nothing.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-
-KNOT_DISTINCT_TOL = 1e-10
 
 
 def _as_knots(knots) -> np.ndarray:
@@ -138,46 +134,3 @@ def bspline(knots: Sequence[float], t):
     a = _as_knots(knots)
     n = a.size - 1
     return n * tp_plus_dd(a, t)
-
-
-def _require_distinct(a: np.ndarray) -> None:
-    srt = np.sort(a)
-    if np.min(np.diff(srt)) <= KNOT_DISTINCT_TOL:
-        raise ValueError("knots are not pairwise distinct (gap <= "
-                         f"{KNOT_DISTINCT_TOL:g}); use the recurrence form instead")
-
-
-def tp_dd_distinct(knots: Sequence[float], y: float, variant: str = "plus",
-                   degree: int | None = None) -> float:
-    """Rational-formula divided difference of a truncated power at distinct knots.
-
-    variant "plus" uses (x-y)_+^degree, "minus" uses (x-y)_-^degree; degree
-    defaults to n-1 for plus and n for minus, matching the recurrences.
-    """
-    a = _as_knots(knots)
-    _require_distinct(a)
-    n = a.size - 1
-    if degree is None:
-        degree = n - 1 if variant == "plus" else n
-    if variant == "plus":
-        def g(x):
-            return x ** degree if x > 0 else 0.0
-    elif variant == "minus":
-        def g(x):
-            return x ** degree if x < 0 else 0.0
-    else:
-        raise ValueError(f"variant must be 'plus' or 'minus', got {variant!r}")
-    return dd_generic(lambda x: g(x - y), a)
-
-
-def dd_generic(f: Callable[[float], float], knots: Sequence[float]) -> float:
-    """Divided difference of an arbitrary function at pairwise distinct knots,
-
-        sum_i f(a_i) / prod_{j != i} (a_i - a_j).
-    """
-    a = _as_knots(knots)
-    _require_distinct(a)
-    diffs = np.subtract.outer(a, a)
-    np.fill_diagonal(diffs, 1.0)
-    denoms = np.prod(diffs, axis=1)
-    return float(sum(f(float(ai)) / d for ai, d in zip(a, denoms)))

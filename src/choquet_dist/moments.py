@@ -9,8 +9,9 @@ D_t = X_{n-t+1:n} - X_{n-t:n} (with the convention X_{0:n} = 0):
              + sum_{T} nu(T)^2 / C(n,|T|) * E[D_{|T|}^2]
 
 The subset sums only involve nu through per-cardinality aggregates, so they
-are grouped by (|T1|, |T2|) once and combined with whatever order-statistic
-moment provider is supplied (exact uniform/exponential, or series).
+are grouped by (|T1|, |T2|) once and contracted with the spacing moments,
+which are first and second differences of the order-statistic record
+(exact uniform/exponential, or series).
 """
 from __future__ import annotations
 
@@ -19,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import SetFunction, ranked_zeta, subset_sizes
+from .capacity import SetFunction, inverse_binomials, ranked_zeta, subset_sizes
+from .osmoments import OrderStats
 
 
 @dataclass
@@ -32,25 +34,14 @@ class DistributionReport:
     sd: float
 
 
-def _spacing_mean(provider, n: int, t: int) -> float:
-    """E[D_t] = E[X_{n-t+1:n}] - E[X_{n-t:n}], with X_{0:n} = 0."""
-    hi = provider.mean(n - t + 1)
-    lo = provider.mean(n - t) if n - t >= 1 else 0.0
-    return hi - lo
-
-
-def _pair(provider, i: int, j: int) -> float:
-    if i == 0 or j == 0:
-        return 0.0
-    return provider.product(min(i, j), max(i, j))
-
-
-def _spacing_product(provider, n: int, t1: int, t2: int) -> float:
-    """E[D_{t1} D_{t2}] expanded bilinearly into order-statistic products."""
-    a, b = n - t1 + 1, n - t1
-    c, d = n - t2 + 1, n - t2
-    return (_pair(provider, a, c) - _pair(provider, a, d)
-            - _pair(provider, b, c) + _pair(provider, b, d))
+def _spacings(stats: OrderStats) -> tuple[np.ndarray, np.ndarray]:
+    """E[D_t] and E[D_s D_t] for s, t = 1..n (index t-1): differences of the
+    order-statistic moments padded with X_{0:n} = 0, read from the top."""
+    n = stats.n
+    mu = np.concatenate([[0.0], stats.means])
+    M = np.zeros((n + 1, n + 1))
+    M[1:, 1:] = stats.products
+    return np.diff(mu)[::-1], np.diff(np.diff(M, axis=0), axis=1)[::-1, ::-1]
 
 
 def nested_pair_level_sums(g: SetFunction) -> np.ndarray:
@@ -65,34 +56,26 @@ def nested_pair_level_sums(g: SetFunction) -> np.ndarray:
     return np.triu(P, k=1)
 
 
-def mean(g: SetFunction, provider) -> float:
-    """E[Y] for the input law represented by the provider."""
-    lev = g.level_sums()
-    return sum(lev[t] / math.comb(g.n, t) * _spacing_mean(provider, g.n, t)
-               for t in range(1, g.n + 1))
+def mean(g: SetFunction, stats: OrderStats) -> float:
+    """E[Y] for the input law of the order-statistic record."""
+    d1, _ = _spacings(stats)
+    return float(g.level_sums()[1:] * inverse_binomials(g.n)[1:, g.n] @ d1)
 
 
-def second_raw_moment(g: SetFunction, provider) -> float:
-    """E[Y^2]: strict nested pairs (factor 2) plus the diagonal."""
+def second_raw_moment(g: SetFunction, stats: OrderStats) -> float:
+    """E[Y^2]: strict nested pairs (factor 2) plus the diagonal, each pair
+    (s, t) weighted by 1/(C(t, s) C(n, t))."""
     n = g.n
-    P = nested_pair_level_sums(g)
-    total = 0.0
-    for s in range(1, n):
-        for t in range(s + 1, n + 1):
-            if P[s, t] != 0.0:
-                total += (2.0 * P[s, t] / (math.comb(t, s) * math.comb(n, t))
-                          * _spacing_product(provider, n, s, t))
-    sizes = subset_sizes(n)
-    sq = np.bincount(sizes, weights=g.values**2, minlength=n + 1)
-    for t in range(1, n + 1):
-        if sq[t] != 0.0:
-            total += sq[t] / math.comb(n, t) * _spacing_product(provider, n, t, t)
-    return total
+    _, d2 = _spacings(stats)
+    sq = np.bincount(subset_sizes(n), weights=g.values**2, minlength=n + 1)
+    inv = inverse_binomials(n)[1:, 1:]
+    coef = (2.0 * nested_pair_level_sums(g)[1:, 1:] + np.diag(sq[1:])) * inv * inv[:, -1]
+    return float(np.sum(coef * d2))
 
 
-def moments_report(g: SetFunction, provider) -> DistributionReport:
-    m1 = mean(g, provider)
-    m2 = second_raw_moment(g, provider)
+def moments_report(g: SetFunction, stats: OrderStats) -> DistributionReport:
+    m1 = mean(g, stats)
+    m2 = second_raw_moment(g, stats)
     var = m2 - m1 * m1
-    return DistributionReport(law=getattr(provider, "law", "?"), mean=m1,
+    return DistributionReport(law=stats.law, mean=m1,
                               variance=var, sd=math.sqrt(max(var, 0.0)))

@@ -9,10 +9,15 @@ order-(n+2)^-3 terms are included behind the ``order=3`` flag.  A uniform
 quantile model (identity G) collapses every series to the exact uniform
 values, which is used as a structural test elsewhere.
 
+Every moment function broadcasts over arrays of 1-based indices.  An
+``OrderStats`` record tabulates them once per (law, n): the mean vector
+E[X_{i:n}] and the symmetric product matrix E[X_{i:n} X_{j:n}], which the
+moment and mixture code contract as arrays.
+
 ``LAWS`` is the one registry of input laws: each name maps to its quantile
-model and, for the uniform and exponential laws, the exact provider.  The
-moment providers, the Monte Carlo sampler and the CLI all read it, so adding
-a law is one entry.
+model and, for the uniform and exponential laws, the exact record builder.
+The moment records, the Monte Carlo sampler and the CLI all read it, so
+adding a law is one entry.
 """
 from __future__ import annotations
 
@@ -25,8 +30,10 @@ import numpy as np
 from .normal import norm_pdf, norm_ppf
 
 
-def _check_indices(i: int, j: int, n: int) -> None:
-    if not 1 <= i <= j <= n:
+def _check_indices(i, j, n: int) -> None:
+    """1 <= i <= j <= n for scalar or (broadcast) array indices."""
+    i, j = np.asarray(i), np.asarray(j)
+    if not np.all((1 <= i) & (i <= j) & (j <= n)):
         raise ValueError(f"need 1 <= i <= j <= n, got i={i}, j={j}, n={n}")
 
 
@@ -34,57 +41,40 @@ def _check_indices(i: int, j: int, n: int) -> None:
 # exact uniform moments
 # ---------------------------------------------------------------------------
 
-def uniform_product_moment(indices, powers, n: int) -> float:
-    """E[ prod_k U_{i_k:n}^{m_k} ] for strictly increasing indices i_1 < ... < i_l.
-
-    Factorial formula: n! / (n + sum m)! * prod_k (i_k + M_k - 1)! / (i_k + M_{k-1} - 1)!
-    with M_k the cumulative sum of the powers.
-    """
-    idx = list(indices)
-    pws = list(powers)
-    if len(idx) != len(pws) or not idx:
-        raise ValueError("indices and powers must be equally long and nonempty")
-    if any(i < 1 or i > n for i in idx) or sorted(set(idx)) != idx:
-        raise ValueError(f"indices must be strictly increasing within 1..{n}")
-    total = sum(pws)
-    out = math.factorial(n) / math.factorial(n + total)
-    acc = 0
-    for i, m in zip(idx, pws):
-        out *= math.factorial(i + acc + m - 1) / math.factorial(i + acc - 1)
-        acc += m
-    return out
-
-
-def uniform_mean(i: int, n: int) -> float:
+def uniform_mean(i, n: int):
     """E[U_{i:n}] = i/(n+1)."""
     _check_indices(i, i, n)
     return i / (n + 1)
 
 
-def uniform_product(i: int, j: int, n: int) -> float:
-    """E[U_{i:n} U_{j:n}] for i <= j; equals i(j+1)/((n+1)(n+2))."""
+def uniform_product(i, j, n: int):
+    """E[U_{i:n} U_{j:n}] = i(j+1)/((n+1)(n+2)) for i <= j."""
     _check_indices(i, j, n)
-    if i == j:
-        return uniform_product_moment([i], [2], n)
-    return uniform_product_moment([i, j], [1, 1], n)
+    return i * (j + 1) / ((n + 1) * (n + 2))
 
 
 # ---------------------------------------------------------------------------
 # exact exponential moments
 # ---------------------------------------------------------------------------
 
-def exp_mean(i: int, n: int) -> float:
+def _exp_tail_sums(n: int, power: int) -> np.ndarray:
+    """Entry i-1 is sum_{k=n-i+1}^{n} 1/k^power, i = 1..n."""
+    return np.cumsum(1.0 / np.arange(n, 0, -1.0) ** power)
+
+
+def exp_mean(i, n: int):
     """E[X_{i:n}] = sum_{k=n-i+1}^{n} 1/k for standard exponential inputs."""
     _check_indices(i, i, n)
-    return sum(1.0 / k for k in range(n - i + 1, n + 1))
+    return _exp_tail_sums(n, 1)[np.asarray(i) - 1]
 
 
-def exp_product(i: int, j: int, n: int) -> float:
+def exp_product(i, j, n: int):
     """E[X_{i:n} X_{j:n}] for i <= j: the covariance sum_{k=n-i+1}^n 1/k^2
     plus the product of the means."""
     _check_indices(i, j, n)
-    cov = sum(1.0 / k**2 for k in range(n - i + 1, n + 1))
-    return cov + exp_mean(i, n) * exp_mean(j, n)
+    h1, h2 = _exp_tail_sums(n, 1), _exp_tail_sums(n, 2)
+    i, j = np.asarray(i) - 1, np.asarray(j) - 1
+    return h2[i] + h1[i] * h1[j]
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +153,7 @@ def _check_order(order: int) -> None:
         raise ValueError(f"series order must be 2 or 3, got {order}")
 
 
-def dj_mean(qm: QuantileModel, i: int, n: int, order: int = 2) -> float:
+def dj_mean(qm: QuantileModel, i, n: int, order: int = 2):
     """Series approximation of E[X_{i:n}] to order (n+2)^-order."""
     _check_order(order)
     _check_indices(i, i, n)
@@ -181,7 +171,7 @@ def dj_mean(qm: QuantileModel, i: int, n: int, order: int = 2) -> float:
     return val
 
 
-def dj_product(qm: QuantileModel, i: int, j: int, n: int, order: int = 2) -> float:
+def dj_product(qm: QuantileModel, i, j, n: int, order: int = 2):
     """Series approximation of E[X_{i:n} X_{j:n}] for i <= j.
 
     The order-(n+2)^-2 truncation carries the familiar ten terms; at i = j it
@@ -243,54 +233,65 @@ def dj_product(qm: QuantileModel, i: int, j: int, n: int, order: int = 2) -> flo
 
 
 # ---------------------------------------------------------------------------
-# providers: one object per (law, n) with mean(i) and product(i, j)
+# the order-statistic record: every law tabulated once per n
 # ---------------------------------------------------------------------------
 
-class UniformOrderStats:
+class OrderStats:
+    """First two moments of the order statistics of n i.i.d. draws of a law.
+
+    ``means[i-1]`` is E[X_{i:n}] and ``products[i-1, j-1]`` is
+    E[X_{i:n} X_{j:n}] (symmetric); both arrays are read-only.  ``mean(i)``
+    and ``product(i, j)`` read single entries with the 1-based index check.
+    """
+
+    def __init__(self, law: str, n: int, means, products):
+        self.law = law
+        self.n = n
+        self.means = np.array(means, dtype=float)
+        self.products = np.array(products, dtype=float)
+        self.means.flags.writeable = False
+        self.products.flags.writeable = False
+
+    def mean(self, i: int) -> float:
+        _check_indices(i, i, self.n)
+        return float(self.means[i - 1])
+
+    def product(self, i: int, j: int) -> float:
+        _check_indices(i, j, self.n)
+        return float(self.products[i - 1, j - 1])
+
+
+def _tabulate(n: int, mean, product) -> tuple[np.ndarray, np.ndarray]:
+    """Means and products from moment functions mean(i, n) and
+    product(i, j, n) that broadcast over index arrays; the products are
+    evaluated on the (min, max) index grid, the i <= j form they are for."""
+    i = np.arange(1, n + 1)
+    return mean(i, n), product(np.minimum.outer(i, i), np.maximum.outer(i, i), n)
+
+
+class UniformOrderStats(OrderStats):
     """Exact standard-uniform order-statistic moments for a fixed n."""
 
-    law = "uniform"
-
     def __init__(self, n: int):
-        self.n = n
-
-    def mean(self, i: int) -> float:
-        return uniform_mean(i, self.n)
-
-    def product(self, i: int, j: int) -> float:
-        return uniform_product(i, j, self.n)
+        super().__init__("uniform", n, *_tabulate(n, uniform_mean, uniform_product))
 
 
-class ExponentialOrderStats:
+class ExponentialOrderStats(OrderStats):
     """Exact standard-exponential order-statistic moments for a fixed n."""
 
-    law = "exponential"
-
     def __init__(self, n: int):
-        self.n = n
-
-    def mean(self, i: int) -> float:
-        return exp_mean(i, self.n)
-
-    def product(self, i: int, j: int) -> float:
-        return exp_product(i, j, self.n)
+        super().__init__("exponential", n, *_tabulate(n, exp_mean, exp_product))
 
 
-class DavidJohnsonOrderStats:
+class DavidJohnsonOrderStats(OrderStats):
     """Series-approximated moments for a quantile-specified law at a fixed n."""
 
     def __init__(self, qm: QuantileModel, n: int, order: int = 2):
         _check_order(order)
-        self.qm = qm
-        self.n = n
         self.order = order
-        self.law = qm.name
-
-    def mean(self, i: int) -> float:
-        return dj_mean(self.qm, i, self.n, self.order)
-
-    def product(self, i: int, j: int) -> float:
-        return dj_product(self.qm, i, j, self.n, self.order)
+        super().__init__(qm.name, n, *_tabulate(
+            n, lambda i, n: dj_mean(qm, i, n, order),
+            lambda i, j, n: dj_product(qm, i, j, n, order)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +301,10 @@ class DavidJohnsonOrderStats:
 @dataclass(frozen=True)
 class Law:
     """An input law: a factory for its quantile model and, where the
-    order-statistic moments have closed forms, the exact provider class."""
+    order-statistic moments have closed forms, the exact record builder."""
 
     quantile_model: Callable[[], QuantileModel]
-    exact_stats: Callable[[int], object] | None = None
+    exact_stats: Callable[[int], OrderStats] | None = None
 
 
 # Factories, not built models: a model built here would capture norm_ppf at
@@ -323,7 +324,7 @@ def law_for(name: str) -> Law:
         raise ValueError(f"unknown law {name!r}; expected one of {', '.join(LAWS)}") from None
 
 
-def provider_for(law: str, n: int, dj_order: int = 2):
+def provider_for(law: str, n: int, dj_order: int = 2) -> OrderStats:
     """Order-statistic moments of the named law at n: exact where known,
     otherwise the David-Johnson series of order dj_order."""
     entry = law_for(law)

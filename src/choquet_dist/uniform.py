@@ -17,9 +17,9 @@ import math
 
 import numpy as np
 
-from .capacity import (Chain, SetFunction, enumerate_chains, ranked_zeta,
-                       subset_sizes)
-from .divdiff import dd_generic, tp_minus_dd, tp_plus_dd
+from .capacity import (Chain, SetFunction, enumerate_chains,
+                       inverse_binomials, ranked_zeta, subset_sizes)
+from .divdiff import tp_minus_dd, tp_plus_dd
 
 
 class UniformChoquetDist:
@@ -64,33 +64,12 @@ class UniformChoquetDist:
         n = self.game.n
         vals = self.game.values
         sizes = subset_sizes(n)
-        # inv_binom[s, t] = 1/C(t, s); 0 where s > t, as no s-subset lies in T
-        inv_binom = np.array([[1.0 / math.comb(t, s) if s <= t else 0.0
-                               for t in range(n + 1)] for s in range(n + 1)])
+        inv_binom = inverse_binomials(n)
         f = vals
         for _ in range(r - 1):
             z = ranked_zeta(f, n)
             f = vals * sum(z[s] * inv_binom[s, sizes] for s in range(n + 1))
         return float(f @ inv_binom[sizes, n]) / math.comb(n + r, r)
-
-    def expect_gn(self, f) -> float:
-        """sum over permutations of the divided difference of f at the chain
-        knots; equals E[f^(n)(Y)] when every chain has distinct knots.
-
-        Note the caller supplies f itself (the antiderivative of order n of
-        the function whose expectation is wanted), and no 1/n! factor
-        applies: each ordering contributes n! times its region's share.
-        """
-        total = 0.0
-        for ch in self.chains:
-            knots = ch.nu_chain
-            gaps = np.diff(np.sort(knots))
-            if np.min(gaps) <= 1e-12:
-                raise ValueError(
-                    f"chain of sigma={ch.sigma} has repeated values; "
-                    "use raw_moment/cdf/pdf, which allow coincident knots")
-            total += dd_generic(f, knots)
-        return total
 
 
 def closed_form_mean(g: SetFunction) -> float:

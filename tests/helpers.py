@@ -179,3 +179,104 @@ def brute_random_capacity(raw: np.ndarray) -> np.ndarray:
     vals /= vals[-1]
     vals[0] = 0.0
     return vals
+
+
+def uniform_product_moment(indices, powers, n: int) -> float:
+    """E[ prod_k U_{i_k:n}^{m_k} ] for strictly increasing indices i_1 < ... < i_l.
+
+    Factorial formula: n! / (n + sum m)! * prod_k (i_k + M_k - 1)! / (i_k + M_{k-1} - 1)!
+    with M_k the cumulative sum of the powers.
+    """
+    idx = list(indices)
+    pws = list(powers)
+    if len(idx) != len(pws) or not idx:
+        raise ValueError("indices and powers must be equally long and nonempty")
+    if any(i < 1 or i > n for i in idx) or sorted(set(idx)) != idx:
+        raise ValueError(f"indices must be strictly increasing within 1..{n}")
+    total = sum(pws)
+    out = math.factorial(n) / math.factorial(n + total)
+    acc = 0
+    for i, m in zip(idx, pws):
+        out *= math.factorial(i + acc + m - 1) / math.factorial(i + acc - 1)
+        acc += m
+    return out
+
+
+def dd_generic(f, knots) -> float:
+    """Divided difference of an arbitrary function at pairwise distinct knots
+    by the rational formula sum_i f(a_i) / prod_{j != i} (a_i - a_j)."""
+    a = np.asarray(knots, dtype=float)
+    if np.min(np.diff(np.sort(a))) <= 1e-10:
+        raise ValueError("knots are not pairwise distinct (gap <= 1e-10)")
+    diffs = np.subtract.outer(a, a)
+    np.fill_diagonal(diffs, 1.0)
+    denoms = np.prod(diffs, axis=1)
+    return float(sum(f(float(ai)) / d for ai, d in zip(a, denoms)))
+
+
+def tp_dd_distinct(knots, y: float, variant: str = "plus", degree=None) -> float:
+    """Rational-formula divided difference of (x-y)_+^degree ("plus") or
+    (x-y)_-^degree ("minus") at distinct knots; degree defaults to n-1 for
+    plus and n for minus, the degrees of the package's recurrences."""
+    n = len(knots) - 1
+    if degree is None:
+        degree = n - 1 if variant == "plus" else n
+    if variant == "plus":
+        return dd_generic(lambda x: (x - y) ** degree if x > y else 0.0, knots)
+    return dd_generic(lambda x: (x - y) ** degree if x < y else 0.0, knots)
+
+
+def expect_gn(dist, f) -> float:
+    """Sum over the chains of a UniformChoquetDist of the divided difference
+    of f at the chain knots; equals E[f^(n)(Y)] when every chain has distinct
+    knots (f is the order-n antiderivative of the function whose expectation
+    is wanted, and each ordering contributes n! times its region's share)."""
+    total = 0.0
+    for ch in dist.chains:
+        if np.min(np.diff(np.sort(ch.nu_chain))) <= 1e-12:
+            raise ValueError(f"chain of sigma={ch.sigma} has repeated values")
+        total += dd_generic(f, ch.nu_chain)
+    return total
+
+
+def component_stats(weights, stats) -> tuple[float, float]:
+    """Mean and variance of sum_i p_i X_{n-i+1:n}, one accessor call per
+    order statistic and per (i, k) pair."""
+    n = len(weights)
+    mean = sum(weights[i - 1] * stats.mean(n - i + 1) for i in range(1, n + 1))
+    second = 0.0
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            a, b = n - i + 1, n - k + 1
+            second += weights[i - 1] * weights[k - 1] * stats.product(min(a, b), max(a, b))
+    return mean, second - mean * mean
+
+
+def spacing_moments(g, stats) -> tuple[float, float]:
+    """(E[Y], E[Y^2]) from the spacings D_t = X_{n-t+1:n} - X_{n-t:n}
+    expanded term by term into order-statistic accessor calls, with the
+    nested pairs summed by walking submasks."""
+    n = g.n
+
+    def mu(i):
+        return stats.mean(i) if i >= 1 else 0.0
+
+    def pair(i, j):
+        return stats.product(min(i, j), max(i, j)) if i >= 1 and j >= 1 else 0.0
+
+    def d2(s, t):
+        a, b, c, d = n - s + 1, n - s, n - t + 1, n - t
+        return pair(a, c) - pair(a, d) - pair(b, c) + pair(b, d)
+
+    lev = g.level_sums()
+    first = sum(lev[t] / math.comb(n, t) * (mu(n - t + 1) - mu(n - t))
+                for t in range(1, n + 1))
+    P = brute_nested_pairs(g)
+    sq = np.bincount([m.bit_count() for m in range(1 << n)], weights=g.values ** 2,
+                     minlength=n + 1)
+    second = 0.0
+    for s in range(1, n + 1):
+        for t in range(s, n + 1):
+            w = 2.0 * P[s, t] if s < t else sq[t]
+            second += w / (math.comb(t, s) * math.comb(n, t)) * d2(s, t)
+    return first, second

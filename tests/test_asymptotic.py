@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from choquet_dist import (MixtureApprox, UniformOrderStats, WeightFunction,
-                          alpha, beta2, chain_for, check_capacity,
-                          mixture_approx, mixture_cdf, mixture_pdf,
+from choquet_dist import (MixtureApprox, SetFunction, UniformOrderStats,
+                          WeightFunction, alpha, beta2, chain_for,
+                          check_capacity, enumerate_chains, mixture_approx,
+                          mixture_cdf, mixture_pdf, moments_report,
                           power_weight_game, provider_for)
-from choquet_dist.osmoments import (exponential_quantile_model,
+from choquet_dist.osmoments import (LAWS, exponential_quantile_model,
                                     normal_quantile_model,
                                     uniform_quantile_model)
 from choquet_dist.montecarlo import sample_values
+
+from helpers import component_stats, game_kinds
 
 
 def test_alpha_power_uniform():
@@ -148,3 +151,46 @@ def test_power_weight_game_is_capacity_after_normalization_only():
     g = power_weight_game(4, 2.0)
     chk = check_capacity(g)
     assert chk.is_monotone and not chk.is_normalized
+
+
+def test_mixture_matches_per_call_component_oracle(rng):
+    # the (chains x n) weight contraction against one accessor call per
+    # order statistic and pair, component by component and in chain order
+    for n in range(1, 7):
+        records = [provider_for("uniform", n), provider_for("exponential", n),
+                   provider_for("normal", n, dj_order=2), provider_for("normal", n, dj_order=3)]
+        for kind, vals in game_kinds(n, rng).items():
+            g = SetFunction(n, vals)
+            chains = ([chain_for(g, range(1, n + 1))] if g.is_symmetric()
+                      else list(enumerate_chains(g)))
+            for prov in records:
+                mix = mixture_approx(g, prov)
+                mean, var = np.array([component_stats(ch.weights, prov) for ch in chains]).T
+                second = var + mean**2
+                scale = float(np.max(np.abs(second), initial=0.0))
+                tag = (n, kind, prov.law, getattr(prov, "order", None))
+                np.testing.assert_array_equal(mix.weights, np.full(len(chains), 1 / len(chains)))
+                np.testing.assert_allclose(mix.means, mean, rtol=1e-12,
+                                           atol=1e-12 * math.sqrt(scale), err_msg=str(tag))
+                np.testing.assert_allclose(mix.variances + mix.means**2, second, rtol=1e-12,
+                                           atol=1e-12 * scale, err_msg=str(tag))
+
+
+def test_symmetric_component_matches_spacing_route():
+    # on a symmetric game every ordering is the same linear combination, so
+    # the single chain contraction and the nested-subset spacing contraction
+    # are two routes to the same moments; the variance is held to E[Y^2],
+    # the scale it cancels down from
+    for n in range(2, 15):
+        for a in (0.5, 2.0):
+            g = power_weight_game(n, a)
+            for law in LAWS:
+                for order in (2, 3):
+                    prov = provider_for(law, n, dj_order=order)
+                    mix = mixture_approx(g, prov)
+                    rep = moments_report(g, prov)
+                    second = rep.variance + rep.mean**2
+                    assert mix.weights.shape == (1,)
+                    assert mix.means[0] == pytest.approx(rep.mean, rel=1e-12), (n, a, law)
+                    assert mix.variances[0] == pytest.approx(rep.variance, rel=1e-12,
+                                                             abs=1e-12 * second), (n, a, law)

@@ -184,6 +184,25 @@ def test_mixture_meta_reports_orness(tmp_path, capsys):
     assert meta["orness"] == pytest.approx(0.4917, abs=1e-3)
 
 
+def test_summaries_only_computed_for_out(monkeypatch, capsys):
+    # the moment summary of pdf/cdf and the orness of mixture are printed only
+    # with --out, so the stdout-only runs must not compute them at all
+    cmds = [("pdf", "--law", "uniform", "--capacity", REF, "--grid", "0:1:7"),
+            ("cdf", "--law", "exponential", "--capacity", REF, "--grid", "0:3:7"),
+            ("mixture", "--law", "normal", "--capacity", REF, "--grid=-1:2:7")]
+    want = [run_cli(capsys, *cmd) for cmd in cmds]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("computed although --out was not given")
+
+    import choquet_dist.cli as cli
+    monkeypatch.setattr(cli, "moments_report", boom)
+    monkeypatch.setattr(cli, "orness", boom)
+    for cmd, (code, out, err) in zip(cmds, want):
+        assert code == 0
+        assert run_cli(capsys, *cmd) == (code, out, err)
+
+
 def test_stigler_json(capsys):
     code, out, _ = run_cli(capsys, "stigler", "--a", "2", "--n", "20")
     doc = json.loads(out)

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from choquet_dist import bspline, dd_generic, tp_dd_distinct, tp_minus_dd, tp_plus_dd
+from choquet_dist import bspline, tp_minus_dd, tp_plus_dd
 
-from helpers import (plus_full_degree_recurrence, random_distinct_knots,
-                     rational_dd_with_scale)
+from helpers import (dd_generic, plus_full_degree_recurrence,
+                     random_distinct_knots, rational_dd_with_scale,
+                     tp_dd_distinct)
 
 KNOTS = (0.0, 0.55, 0.8, 1.0)
 

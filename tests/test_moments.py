@@ -11,7 +11,7 @@ from choquet_dist.capacity import subset_sizes
 from choquet_dist.moments import mean, nested_pair_level_sums, second_raw_moment
 from choquet_dist.montecarlo import sample_values
 
-from helpers import brute_nested_pairs, game_kinds
+from helpers import brute_nested_pairs, game_kinds, spacing_moments
 
 
 def _all_nonempty(n):
@@ -147,3 +147,29 @@ def test_report_fields(ref_capacity):
     assert rep.law == "uniform"
     assert rep.sd == pytest.approx(math.sqrt(rep.variance))
     assert [f.name for f in dataclasses.fields(rep)] == ["law", "mean", "variance", "sd"]
+
+
+def _records(n):
+    """Every law's record at n: exact uniform and exponential, and the
+    normal series at both orders."""
+    return [provider_for("uniform", n), provider_for("exponential", n),
+            provider_for("normal", n, dj_order=2), provider_for("normal", n, dj_order=3)]
+
+
+def test_moments_match_per_call_spacing_oracle(rng):
+    # the array contraction against the term-by-term spacing expansion; the
+    # mean is held to E[Y^2]^(1/2), the larger scale it can cancel down from
+    for n in range(1, 7):
+        records = _records(n)
+        for kind, vals in game_kinds(n, rng).items():
+            g = SetFunction(n, vals)
+            for prov in records:
+                want_m1, want_m2 = spacing_moments(g, prov)
+                rep = moments_report(g, prov)
+                tag = (n, kind, prov.law, getattr(prov, "order", None))
+                assert rep.mean == pytest.approx(
+                    want_m1, rel=1e-12, abs=1e-12 * math.sqrt(abs(want_m2))), tag
+                assert rep.variance + rep.mean**2 == pytest.approx(
+                    want_m2, rel=1e-12, abs=1e-15), tag
+                assert second_raw_moment(g, prov) == pytest.approx(want_m2, rel=1e-12,
+                                                                   abs=1e-15), tag

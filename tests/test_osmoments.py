@@ -5,14 +5,15 @@ import pytest
 from scipy import special
 
 from choquet_dist import (DavidJohnsonOrderStats, ExponentialOrderStats,
-                          UniformOrderStats, dj_mean, dj_product,
+                          OrderStats, UniformOrderStats, dj_mean, dj_product,
                           exponential_quantile_model, normal_quantile_model,
                           uniform_quantile_model)
 from choquet_dist.normal import norm_ppf
 from choquet_dist.osmoments import (LAWS, exp_mean, exp_product, law_for,
                                     provider_for, uniform_mean,
-                                    uniform_product, uniform_product_moment)
-from helpers import normal_os_mean_quad, normal_os_product_quad
+                                    uniform_product)
+from helpers import (normal_os_mean_quad, normal_os_product_quad,
+                     uniform_product_moment)
 
 SQRT_2PI = math.sqrt(2 * math.pi)
 
@@ -225,3 +226,75 @@ def test_provider_for_unknown_law():
 def test_registry_models_carry_their_names():
     for name in LAWS:
         assert law_for(name).quantile_model().name == name
+
+
+# ---- the order-statistic record ---------------------------------------------
+
+def _builders(n):
+    return [UniformOrderStats(n), ExponentialOrderStats(n),
+            DavidJohnsonOrderStats(normal_quantile_model(), n, order=3)]
+
+
+def test_record_index_guard():
+    # numpy would wrap index 0 to the last order statistic; the accessors refuse
+    n = 4
+    for prov in _builders(n):
+        for bad in (0, n + 1):
+            with pytest.raises(ValueError):
+                prov.mean(bad)
+        for i, j in ((2, 1), (0, 1), (1, n + 1)):
+            with pytest.raises(ValueError):
+                prov.product(i, j)
+    qm = normal_quantile_model()
+    with pytest.raises(ValueError):
+        dj_mean(qm, np.array([1, 2, 5]), 4)
+    with pytest.raises(ValueError):
+        dj_mean(qm, np.array([0, 1]), 4)
+    with pytest.raises(ValueError):
+        dj_product(qm, np.array([1, 2]), np.array([2, 5]), 4)
+    with pytest.raises(ValueError):
+        dj_product(qm, np.array([1, 3]), np.array([2, 2]), 4)
+
+
+def test_record_arrays_are_read_only_and_symmetric():
+    for prov in _builders(5):
+        assert isinstance(prov, OrderStats)
+        assert prov.means.shape == (5,) and prov.products.shape == (5, 5)
+        assert np.array_equal(prov.products, prov.products.T)
+        with pytest.raises(ValueError):
+            prov.means[0] = 1.0
+        with pytest.raises(ValueError):
+            prov.products[0, 1] = 1.0
+        # identity hashing: records can key a dict
+        assert {prov: 1}[prov] == 1
+
+
+def test_dj_record_matches_scalar_series():
+    for name in ("normal", "exponential"):
+        qm = law_for(name).quantile_model()
+        for order in (2, 3):
+            for n in range(1, 21):
+                prov = DavidJohnsonOrderStats(qm, n, order)
+                for i in range(1, n + 1):
+                    assert prov.mean(i) == pytest.approx(dj_mean(qm, i, n, order),
+                                                         rel=1e-12, abs=1e-15)
+                    for j in range(i, n + 1):
+                        want = dj_product(qm, i, j, n, order)
+                        assert prov.product(i, j) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_exact_records_match_scalar_oracles():
+    for n in range(1, 13):
+        uni, ex = UniformOrderStats(n), ExponentialOrderStats(n)
+        for i in range(1, n + 1):
+            assert uni.mean(i) == pytest.approx(i / (n + 1), rel=1e-14)
+            assert ex.mean(i) == pytest.approx(sum(1 / k for k in range(n - i + 1, n + 1)),
+                                               rel=1e-14)
+            cov = sum(1 / k**2 for k in range(n - i + 1, n + 1))
+            for j in range(i, n + 1):
+                want = (uniform_product_moment([i], [2], n) if i == j
+                        else uniform_product_moment([i, j], [1, 1], n))
+                assert uni.product(i, j) == pytest.approx(want, rel=1e-14)
+                assert uni.products[j - 1, i - 1] == uni.product(i, j)
+                assert ex.product(i, j) == pytest.approx(cov + ex.mean(i) * ex.mean(j),
+                                                         rel=1e-14)

@@ -8,34 +8,125 @@ is asymptotically normal with limiting mean and scaled variance
     alpha(J, F)  = int_0^1 J(u) G(u) du,
     beta^2(J, F) = 2 iint_{0<u<v<1} J(u) J(v) u (1-v) G'(u) G'(v) du dv,
 
-G the quantile of the input law.  The integral itself is then approximately
-an equal-weight mixture of the per-ordering normals.  Whether the conditions
-hold for a data-driven game cannot be checked; the orness diagnostic is the
-customary heuristic and callers should treat non-symmetric step-J results as
-exploratory.
+G the quantile of the input law.  Both are computed in x = G(u), where
+G'(u) du = dx (Stigler 1974, Ann. Statist. 2):
+
+    alpha  = int J(F(x)) x f(x) dx,
+    beta^2 = 2 int J(F(y)) (1 - F(y)) K(y) dy,  K(y) = int_{-inf}^{y} J(F(x)) F(x) dx,
+
+whose integrands are bounded and whose inner integral is cumulative.  One
+fixed composite Gauss-Legendre rule over the law's support does both.
+
+The integral itself is then approximately an equal-weight mixture of the
+per-ordering normals.  Whether the conditions hold for a data-driven game
+cannot be checked; the orness diagnostic is the customary heuristic and
+callers should treat non-symmetric step-J results as exploratory.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .capacity import Chain, SetFunction, chain_for, enumerate_chains
 from .normal import norm_cdf, norm_pdf
 from .osmoments import OrderStats, QuantileModel
 
+GL_NODES = 8  # Gauss-Legendre nodes per panel
+BASE_PANELS = 100  # equal panels over the support, before grading and halving
+GRADED_PANELS = 40  # geometric panels (ratio 1/2) into each end of the support
+QUAD_TOL = 1e-10  # largest accepted halving gap, relative to max(1, |value|)
+
+
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the m-point rule on [-1, 1] (Golub-Welsch)."""
+    k = np.arange(1.0, m)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x, v = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 * v[0] ** 2
+
+
+def _lagrange(t: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Entry [..., m] is the m-th Lagrange basis polynomial on the nodes at t."""
+    d = t[..., None] - nodes
+    others = ~np.eye(nodes.size, dtype=bool)
+    scale = np.prod(np.where(others, nodes[:, None] - nodes, 1.0), axis=1)
+    return np.prod(np.where(others, d[..., None, :], 1.0), axis=-1) / scale
+
+
+_GL_X, _GL_W = _gauss_legendre(GL_NODES)
+# _GL_S[k, m] = int_{-1}^{x_k} l_m(s) ds, exact by the rule itself on [-1, x_k]
+# since l_m has degree GL_NODES - 1
+_GL_S = (_lagrange(-1.0 + np.outer(_GL_X + 1.0, _GL_X + 1.0) / 2.0, _GL_X)
+         * _GL_W[:, None]).sum(axis=1) * ((_GL_X + 1.0) / 2.0)[:, None]
+
+
+class PanelRule:
+    """Composite Gauss-Legendre rule in x on the panels between sorted edges.
+
+    ``x`` and ``w`` are the (panels, GL_NODES) nodes and weights; integrands
+    are passed as their values at ``x``.
+    """
+
+    def __init__(self, edges):
+        self.edges = np.asarray(edges, dtype=float)
+        self._half = np.diff(self.edges)[:, None] / 2.0
+        self.x = self.edges[:-1, None] + self._half * (_GL_X + 1.0)
+        self.w = self._half * _GL_W
+
+    @classmethod
+    def for_law(cls, qm: QuantileModel, breaks=()) -> "PanelRule":
+        """BASE_PANELS equal panels on qm.support, graded geometrically into
+        both ends (where J(F(x)) = F(x)^a is only as smooth as x^a), with an
+        edge at G(u) for each jump u in (0, 1) of J listed in ``breaks``."""
+        lo, hi = qm.support
+        h = (hi - lo) / BASE_PANELS
+        graded = h * 0.5 ** np.arange(1, GRADED_PANELS + 1)
+        jumps = qm.quantile(np.asarray(breaks, dtype=float)) if breaks else ()
+        edges = np.concatenate([np.linspace(lo, hi, BASE_PANELS + 1),
+                                lo + graded, hi - graded, jumps])
+        return cls(np.unique(edges[(edges >= lo) & (edges <= hi)]))
+
+    def bisected(self) -> "PanelRule":
+        """The same rule with every panel split in two."""
+        mid = (self.edges[:-1] + self.edges[1:]) / 2.0
+        return PanelRule(np.sort(np.concatenate([self.edges, mid])))
+
+    def integral(self, f) -> float:
+        return float(np.sum(self.w * f))
+
+    def cumulative(self, f) -> np.ndarray:
+        """int_{edges[0]}^{x} of f at every node x, from f at the nodes."""
+        before = np.concatenate([[0.0], np.cumsum(np.sum(self.w * f, axis=1))[:-1]])
+        return before[:, None] + self._half * (f @ _GL_S.T)
+
+
+def _by_halving(name: str, J, qm: QuantileModel, on_rule) -> float:
+    """on_rule on the law's panels and on the bisected panels; the second
+    value, if the two agree to QUAD_TOL."""
+    rule = PanelRule.for_law(qm, getattr(J, "breaks", ()))
+    coarse, fine = on_rule(rule), on_rule(rule.bisected())
+    err = abs(fine - coarse)
+    if not err <= QUAD_TOL * max(1.0, abs(fine)):
+        raise ValueError(f"{name} quadrature did not reach {QUAD_TOL:g} "
+                         f"(estimated error {err:g})")
+    return fine
+
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Order-statistic weight generator J on (0,1)."""
+    """Order-statistic weight generator J on (0,1), applied to arrays.
 
-    fn: Callable[[float], float]
+    ``breaks`` lists the u where J jumps; the quadrature puts panel edges
+    there.
+    """
+
+    fn: Callable[[np.ndarray], np.ndarray]
     provenance: str = "analytic"
+    breaks: tuple = ()
 
-    def __call__(self, u: float) -> float:
+    def __call__(self, u):
         return self.fn(u)
 
     @staticmethod
@@ -47,7 +138,8 @@ class WeightFunction:
 
     @staticmethod
     def constant(value: float = 1.0) -> "WeightFunction":
-        return WeightFunction(lambda u: value, provenance="constant")
+        return WeightFunction(lambda u: np.full(np.shape(u), float(value)),
+                              provenance="constant")
 
     @staticmethod
     def from_chain(chain: Chain) -> "WeightFunction":
@@ -57,39 +149,32 @@ class WeightFunction:
         w = np.asarray(chain.weights)
         n = w.size
 
-        def step(u: float) -> float:
-            i = min(max(int(math.ceil(u * n)), 1), n)
+        def step(u):
+            i = np.clip(np.ceil(np.asarray(u) * n).astype(int), 1, n)
             return n * w[n - i]
 
-        return WeightFunction(step, provenance=f"chain{chain.sigma}")
+        return WeightFunction(step, provenance=f"chain{chain.sigma}",
+                              breaks=tuple(i / n for i in range(1, n)))
 
 
 def alpha(J: WeightFunction, qm: QuantileModel) -> float:
-    """int_0^1 J(u) G(u) du by adaptive quadrature on the model's safe domain."""
-    lo, hi = qm.trunc, 1.0 - qm.trunc
-    val, err = integrate.quad(lambda u: J(u) * qm.quantile(u), lo, hi,
-                              epsabs=qm.quad_tol * 0.1, epsrel=1e-10, limit=400)
-    if err > qm.quad_tol:
-        raise ValueError(f"alpha quadrature did not reach {qm.quad_tol:g} "
-                         f"(estimated error {err:g})")
-    return val
+    """int J(F(x)) x f(x) dx over the law's support."""
+    def on_rule(rule):
+        x = rule.x
+        return rule.integral(J(qm.cdf(x)) * x * qm.pdf(x))
+
+    return _by_halving("alpha", J, qm, on_rule)
 
 
 def beta2(J: WeightFunction, qm: QuantileModel) -> float:
-    """2 iint_{u<v} J(u)J(v) u(1-v) G'(u)G'(v) du dv over the triangle,
-    as iterated adaptive quadrature."""
-    lo, hi = qm.trunc, 1.0 - qm.trunc
-    g1 = qm.derivatives[0]
+    """2 int J(F(y)) (1 - F(y)) K(y) dy with the cumulative
+    K(y) = int^y J(F(x)) F(x) dx, over the law's support."""
+    def on_rule(rule):
+        F = qm.cdf(rule.x)
+        JF = J(F)
+        return 2.0 * rule.integral(JF * (1.0 - F) * rule.cumulative(JF * F))
 
-    def integrand(u: float, v: float) -> float:
-        return 2.0 * J(u) * J(v) * u * (1.0 - v) * g1(u) * g1(v)
-
-    val, err = integrate.dblquad(integrand, lo, hi, lambda v: lo, lambda v: v,
-                                 epsabs=qm.quad_tol * 0.1, epsrel=1e-10)
-    if err > qm.quad_tol:
-        raise ValueError(f"beta^2 quadrature did not reach {qm.quad_tol:g} "
-                         f"(estimated error {err:g})")
-    return val
+    return _by_halving("beta^2", J, qm, on_rule)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ refined result keeps absolute error near machine level across
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 
@@ -38,11 +37,13 @@ def norm_pdf(x):
 
 
 def norm_cdf(x):
+    from scipy import special  # imported on first use: the other laws need no scipy
     return special.ndtr(x)
 
 
 def norm_ppf(p):
     """Quantile of the standard normal; scalar in, scalar out, arrays pass through."""
+    from scipy import special
     arr = np.asarray(p, dtype=float)
     scalar = arr.ndim == 0
     q = np.atleast_1d(arr).copy()

@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .normal import norm_pdf, norm_ppf
+from .normal import norm_cdf, norm_pdf, norm_ppf
 
 
 def _check_indices(i, j, n: int) -> None:
@@ -83,19 +83,21 @@ def exp_product(i, j, n: int):
 
 @dataclass(frozen=True)
 class QuantileModel:
-    """Quantile function G = F^{-1} on (0,1) with derivatives up to order 6.
+    """An input law by its quantile G = F^{-1} on (0,1), with derivatives up
+    to order 6, and by its cdf F and density f on the real line.
 
-    ``trunc`` shrinks the integration domain to [trunc, 1-trunc] for
-    functionals that integrate against G (needed when G blows up at the
-    endpoints), and ``quad_tol`` is the absolute tolerance those quadratures
-    should target.
+    G and its derivatives feed the David-Johnson series; F, f and
+    ``support`` feed the limit functionals, which integrate in x = G(u).
+    ``support`` is the law's support with each infinite end cut where the
+    tail mass beyond it is below ~1e-17.  All callables take arrays.
     """
 
     name: str
     quantile: Callable[[float], float]
     derivatives: tuple
-    trunc: float = 0.0
-    quad_tol: float = 1e-8
+    cdf: Callable
+    pdf: Callable
+    support: tuple[float, float]
 
     def deriv(self, u: float, k: int) -> float:
         if not 1 <= k <= len(self.derivatives):
@@ -106,14 +108,17 @@ class QuantileModel:
 def uniform_quantile_model() -> QuantileModel:
     one = lambda u: 1.0
     zero = lambda u: 0.0
-    return QuantileModel("uniform", lambda u: u, (one, zero, zero, zero, zero, zero))
+    return QuantileModel("uniform", lambda u: u, (one, zero, zero, zero, zero, zero),
+                         cdf=lambda x: x, pdf=np.ones_like, support=(0.0, 1.0))
 
 
 def exponential_quantile_model() -> QuantileModel:
     """G(u) = -log(1-u); the k-th derivative is (k-1)!/(1-u)^k."""
     derivs = tuple((lambda k: lambda u: math.factorial(k - 1) / (1.0 - u) ** k)(k)
                    for k in range(1, 7))
-    return QuantileModel("exponential", lambda u: -np.log1p(-u), derivs)
+    return QuantileModel("exponential", lambda u: -np.log1p(-u), derivs,
+                         cdf=lambda x: -np.expm1(-x), pdf=lambda x: np.exp(-x),
+                         support=(0.0, 40.0))
 
 
 def normal_quantile_model() -> QuantileModel:
@@ -141,7 +146,7 @@ def normal_quantile_model() -> QuantileModel:
         return dk
 
     return QuantileModel("normal", norm_ppf, tuple(d(k) for k in range(1, 7)),
-                         trunc=1e-9, quad_tol=1e-6)
+                         cdf=norm_cdf, pdf=norm_pdf, support=(-9.0, 9.0))
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +312,9 @@ class Law:
     exact_stats: Callable[[int], OrderStats] | None = None
 
 
-# Factories, not built models: a model built here would capture norm_ppf at
-# import time, so later rebinding of the name would not reach it.
+# Factories, not built models: a model built here would capture norm_ppf,
+# norm_cdf and norm_pdf at import time, so later rebinding of the names would
+# not reach it.
 LAWS = {
     "uniform": Law(uniform_quantile_model, UniformOrderStats),
     "exponential": Law(exponential_quantile_model, ExponentialOrderStats),

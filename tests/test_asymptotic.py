@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from choquet_dist import (MixtureApprox, SetFunction, UniformOrderStats,
                           WeightFunction, alpha, beta2, chain_for,
@@ -12,42 +12,124 @@ from choquet_dist import (MixtureApprox, SetFunction, UniformOrderStats,
 from choquet_dist.osmoments import (LAWS, exponential_quantile_model,
                                     normal_quantile_model,
                                     uniform_quantile_model)
+from choquet_dist.asymptotic import _GL_S, _GL_W, _GL_X, PanelRule
 from choquet_dist.montecarlo import sample_values
 
-from helpers import component_stats, game_kinds
+from helpers import component_stats, game_kinds, normal_step_limits
+
+POWERS = (0.25, 0.5, 1.0, 2.0, 3.0)
 
 
 def test_alpha_power_uniform():
-    assert alpha(WeightFunction.power(2), uniform_quantile_model()) == pytest.approx(
-        0.25, abs=1e-9)
+    for a in POWERS:
+        assert alpha(WeightFunction.power(a), uniform_quantile_model()) == pytest.approx(
+            1 / (a + 2), rel=1e-14), a
 
 
 def test_alpha_constant_means():
     one = WeightFunction.constant()
-    assert alpha(one, uniform_quantile_model()) == pytest.approx(0.5, abs=1e-9)
-    assert alpha(one, exponential_quantile_model()) == pytest.approx(1.0, abs=1e-7)
-    assert alpha(one, normal_quantile_model()) == pytest.approx(0.0, abs=1e-6)
+    assert alpha(one, uniform_quantile_model()) == pytest.approx(0.5, rel=1e-14)
+    assert alpha(one, exponential_quantile_model()) == pytest.approx(1.0, rel=1e-14)
+    assert alpha(one, normal_quantile_model()) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_beta2_power_uniform():
-    assert beta2(WeightFunction.power(2), uniform_quantile_model()) == pytest.approx(
-        1 / 112, abs=1e-9)
+    for a in POWERS:
+        assert beta2(WeightFunction.power(a), uniform_quantile_model()) == pytest.approx(
+            2 / ((a + 2) * (2 * a + 3) * (2 * a + 4)), rel=1e-14), a
 
 
 def test_beta2_constant_uniform():
     assert beta2(WeightFunction.constant(), uniform_quantile_model()) == pytest.approx(
-        1 / 12, abs=1e-9)
+        1 / 12, rel=1e-14)
 
 
 def test_beta2_constant_exponential():
     # the sample mean of exponentials has variance 1/n, so n Var -> 1
     assert beta2(WeightFunction.constant(), exponential_quantile_model()) == pytest.approx(
-        1.0, abs=1e-6)
+        1.0, rel=1e-14)
 
 
 def test_beta2_constant_normal():
     assert beta2(WeightFunction.constant(), normal_quantile_model()) == pytest.approx(
-        1.0, abs=1e-4)
+        1.0, rel=1e-14)
+
+
+def test_gauss_legendre_panel_rule():
+    x, w = np.polynomial.legendre.leggauss(8)
+    np.testing.assert_allclose(_GL_X, x, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(_GL_W, w, rtol=0, atol=1e-15)
+    # the integration matrix integrates every polynomial of degree < 8 exactly
+    for k in range(8):
+        want = (_GL_X ** (k + 1) - (-1.0) ** (k + 1)) / (k + 1)
+        np.testing.assert_allclose(_GL_S @ _GL_X ** k, want, rtol=0, atol=2e-15)
+
+
+def test_cumulative_integral_normal_constant_weight():
+    # K(y) = int_{-inf}^{y} Phi(x) dx = y Phi(y) + phi(y) for J = 1
+    rule = PanelRule.for_law(normal_quantile_model())
+    y = rule.x
+    want = y * special.ndtr(y) + np.exp(-0.5 * y * y) / math.sqrt(2 * math.pi)
+    np.testing.assert_allclose(rule.cumulative(special.ndtr(y)), want, rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("a", POWERS)
+def test_alpha_exponential_closed_form(a):
+    want = (special.digamma(a + 2) + np.euler_gamma) / (a + 1)
+    assert alpha(WeightFunction.power(a), exponential_quantile_model()) == pytest.approx(
+        want, rel=1e-14)
+
+
+def test_alpha_normal_is_scaled_expected_maximum():
+    # J(u) = u^a with integer a gives alpha = E[X_{a+1:a+1}] / (a+1)
+    qm = normal_quantile_model()
+    for a, want in ((1, 1 / (2 * math.sqrt(math.pi))), (2, 1 / (2 * math.sqrt(math.pi))),
+                    (3, 1.0293753730 / 4)):
+        assert alpha(WeightFunction.power(a), qm) == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("a", (0.5, 2.0))
+def test_beta2_normal_against_x_trapezoid(a):
+    x = np.linspace(-9.0, 9.0, 72001)
+    F = special.ndtr(x)
+    J = F ** a
+    JF = J * F
+    inner = np.concatenate([[0.0], np.cumsum((JF[1:] + JF[:-1]) * 0.5 * np.diff(x))])
+    want = 2.0 * np.trapezoid(J * (1.0 - F) * inner, x)
+    assert beta2(WeightFunction.power(a), normal_quantile_model()) == pytest.approx(want, abs=1e-8)
+
+
+@pytest.mark.parametrize("qm", (normal_quantile_model(), exponential_quantile_model()))
+def test_limits_report_step_without_breaks(qm):
+    # a jump of J inside a panel is what the halving estimate is there to catch
+    step = lambda u: (u > 0.3) * 1.0
+    with pytest.raises(ValueError, match="alpha quadrature"):
+        alpha(step, qm)
+    with pytest.raises(ValueError, match="beta\\^2 quadrature"):
+        beta2(step, qm)
+
+
+def test_limits_of_chain_step_against_piecewise_oracle(ref_capacity):
+    qm = normal_quantile_model()
+    for g, sigma in ((power_weight_game(5, 2.0), (1, 2, 3, 4, 5)),
+                     (ref_capacity, (2, 3, 1))):
+        J = WeightFunction.from_chain(chain_for(g, sigma))
+        n = g.n
+        assert J.breaks == tuple(i / n for i in range(1, n))
+        want_alpha, want_beta2 = normal_step_limits(J((np.arange(n) + 0.5) / n))
+        assert alpha(J, qm) == pytest.approx(want_alpha, rel=1e-12, abs=1e-14)
+        assert beta2(J, qm) == pytest.approx(want_beta2, rel=1e-12)
+
+
+def test_weight_functions_take_arrays():
+    u = np.array([[0.05, 0.2], [0.5, 0.99]])
+    const = WeightFunction.constant(2.0)(u)
+    assert const.shape == u.shape and np.all(const == 2.0)
+    J = WeightFunction.from_chain(chain_for(power_weight_game(5, 2.0), (1, 2, 3, 4, 5)))
+    got = J(u)
+    assert got.shape == u.shape
+    assert [float(J(v)) for v in u.ravel()] == got.ravel().tolist()
+    np.testing.assert_allclose(WeightFunction.power(2)(u), u ** 2)
 
 
 def test_power_weight_game_values():

@@ -1,6 +1,9 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -255,3 +258,18 @@ def test_missing_file(capsys):
     code, _, err = run_cli(capsys, "moments", "--law", "uniform",
                            "--capacity", "/nonexistent.json")
     assert code == 2
+
+
+def test_uniform_moments_load_no_scipy():
+    # scipy serves only the normal law; the other commands never import it
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys; from choquet_dist.cli import main; "
+            f"main(['moments', '--capacity', {REF!r}, '--law', 'uniform']); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

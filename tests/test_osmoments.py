@@ -228,6 +228,24 @@ def test_registry_models_carry_their_names():
         assert law_for(name).quantile_model().name == name
 
 
+def test_registry_models_cdf_pdf_support_match_quantile():
+    u = np.linspace(0.001, 0.999, 999)
+    # mass below lo and above hi, each from the textbook law
+    tail_mass = {"uniform": lambda lo, hi: (lo, 1.0 - hi),
+                 "exponential": lambda lo, hi: (-math.expm1(-lo), math.exp(-hi)),
+                 "normal": lambda lo, hi: (special.ndtr(lo), special.ndtr(-hi))}
+    for name in LAWS:
+        qm = law_for(name).quantile_model()
+        x = qm.quantile(u)
+        np.testing.assert_allclose(qm.cdf(x), u, rtol=1e-13, err_msg=name)
+        np.testing.assert_allclose(qm.pdf(x) * np.array([qm.deriv(v, 1) for v in u]), 1.0,
+                                   rtol=1e-10, err_msg=name)
+        lo, hi = qm.support
+        assert lo < x.min() and x.max() < hi
+        assert 0.0 <= min(tail_mass[name](lo, hi))
+        assert max(tail_mass[name](lo, hi)) < 1e-17, name
+
+
 # ---- the order-statistic record ---------------------------------------------
 
 def _builders(n):

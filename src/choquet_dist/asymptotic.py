@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import Chain, SetFunction, chain_for, enumerate_chains
+from .capacity import Chain, SetFunction, chain_table, subset_sizes
 from .normal import norm_cdf, norm_pdf
 from .osmoments import OrderStats, QuantileModel
 
@@ -123,7 +123,6 @@ class WeightFunction:
     """
 
     fn: Callable[[np.ndarray], np.ndarray]
-    provenance: str = "analytic"
     breaks: tuple = ()
 
     def __call__(self, u):
@@ -134,12 +133,11 @@ class WeightFunction:
         """J(u) = u^a."""
         if a <= 0:
             raise ValueError("the exponent must be strictly positive")
-        return WeightFunction(lambda u: u ** a, provenance=f"power({a:g})")
+        return WeightFunction(lambda u: u ** a)
 
     @staticmethod
     def constant(value: float = 1.0) -> "WeightFunction":
-        return WeightFunction(lambda u: np.full(np.shape(u), float(value)),
-                              provenance="constant")
+        return WeightFunction(lambda u: np.full(np.shape(u), float(value)))
 
     @staticmethod
     def from_chain(chain: Chain) -> "WeightFunction":
@@ -153,8 +151,7 @@ class WeightFunction:
             i = np.clip(np.ceil(np.asarray(u) * n).astype(int), 1, n)
             return n * w[n - i]
 
-        return WeightFunction(step, provenance=f"chain{chain.sigma}",
-                              breaks=tuple(i / n for i in range(1, n)))
+        return WeightFunction(step, breaks=tuple(i / n for i in range(1, n)))
 
 
 def alpha(J: WeightFunction, qm: QuantileModel) -> float:
@@ -197,12 +194,14 @@ class MixtureApprox:
 def mixture_approx(g: SetFunction, stats: OrderStats) -> MixtureApprox:
     """Per-ordering normal components from exact or series moments.
 
-    Component k is sum_i p_i X_{n-i+1:n} with the weights p of chain k, so
-    with the weight rows reversed into order-statistic order its mean and
-    second moment contract the record's means and products.
+    Component k is sum_i p_i X_{n-i+1:n} with the weights p of chain k of
+    :func:`~choquet_dist.capacity.chain_table` (only the identity chain for a
+    symmetric game), so with the weight rows reversed into order-statistic
+    order its mean and second moment contract the record's means and products.
     """
-    chains = [chain_for(g, range(1, g.n + 1))] if g.is_symmetric() else enumerate_chains(g)
-    W = np.array([ch.weights[::-1] for ch in chains])
+    nu = (g.values[(1 << np.arange(g.n + 1)) - 1][None, :] if g.is_symmetric()
+          else chain_table(g)[1])
+    W = np.ascontiguousarray(np.diff(nu)[:, ::-1])
     means = W @ stats.means
     second = np.einsum("ki,ij,kj->k", W, stats.products, W)
     return MixtureApprox(np.full(len(W), 1.0 / len(W)), means, second - means * means)
@@ -247,5 +246,4 @@ def power_weight_game(n: int, a: float) -> SetFunction:
         raise ValueError("n out of the supported range 1..24")
     steps = ((n - np.arange(1, n + 1) + 1) / n) ** a / n
     prefix = np.concatenate([[0.0], np.cumsum(steps)])
-    sizes = np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
-    return SetFunction(n, prefix[sizes])
+    return SetFunction(n, prefix[subset_sizes(n)])

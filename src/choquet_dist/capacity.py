@@ -31,8 +31,8 @@ class CapacityFormatError(ValueError):
 
 
 def n_max() -> int:
-    """Largest n whose n! chains :func:`enumerate_chains` will walk (default
-    10); override with CHOQUET_NMAX.  Nothing else is bounded by it."""
+    """Largest n whose n! chains :func:`chain_table` will build (default 10);
+    override with CHOQUET_NMAX.  Nothing else is bounded by it."""
     env = os.environ.get("CHOQUET_NMAX")
     return int(env) if env else DEFAULT_N_MAX
 
@@ -222,13 +222,31 @@ def chain_for(g: SetFunction, sigma: Iterable[int]) -> Chain:
     return Chain(sig, ch, np.diff(ch))
 
 
-def enumerate_chains(g: SetFunction) -> Iterator[Chain]:
-    """All n! chains, in lexicographic sigma order."""
-    if g.n > n_max():
-        raise ValueError(f"n={g.n} exceeds the permutation-enumeration cap {n_max()}; "
+def chain_table(g: SetFunction) -> tuple[np.ndarray, np.ndarray]:
+    """All n! orderings and the values of nu along their chains, as arrays.
+
+    Row k of ``sigmas`` (n!, n) int8 is the k-th permutation of 1..n in
+    lexicographic order; row k of ``nu`` (n!, n+1) holds nu of its nested
+    prefixes, nu[k, i] = nu({sigma_k(1..i)}) with nu[k, 0] = 0.
+    """
+    n = g.n
+    if n > n_max():
+        raise ValueError(f"n={n} exceeds the permutation-enumeration cap {n_max()}; "
                          "set CHOQUET_NMAX to raise it")
-    for sig in permutations(range(1, g.n + 1)):
-        yield chain_for(g, sig)
+    sigmas = np.fromiter(permutations(range(1, n + 1)), dtype=(np.int8, n),
+                         count=math.factorial(n))
+    masks = np.cumsum(1 << (sigmas.astype(np.int32) - 1), axis=1, dtype=np.int32)
+    nu = np.zeros((len(sigmas), n + 1))
+    nu[:, 1:] = g.values[masks]
+    return sigmas, nu
+
+
+def enumerate_chains(g: SetFunction) -> Iterator[Chain]:
+    """All n! chains, in lexicographic sigma order: the rows of
+    :func:`chain_table` as :class:`Chain` objects."""
+    sigmas, nu = chain_table(g)
+    for sig, ch in zip(sigmas.tolist(), nu):
+        yield Chain(tuple(sig), ch, np.diff(ch))
 
 
 def choquet(g: SetFunction, x) -> float:

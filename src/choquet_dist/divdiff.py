@@ -26,22 +26,13 @@ def _as_knots(knots) -> np.ndarray:
     return a
 
 
-def _split(a: np.ndarray, y: float):
-    below = a < y
-    return a[below], a[~below]
-
-
 def tp_plus_dd(knots: Sequence[float], y):
     """Divided difference of (x - y)_+^(n-1) over the n+1 given knots.
 
     y may be a scalar or an array of shifts.  Returns 0 when y lies outside
     the closed knot hull.
     """
-    a = _as_knots(knots)
-    if np.isscalar(y) or np.ndim(y) == 0:
-        b, c = _split(a, float(y))
-        return _plus_rec(list(b), list(c), float(y))
-    return _dd_grid(a, np.asarray(y, dtype=float), minus=False)
+    return _divdiff(knots, y, minus=False)
 
 
 def tp_minus_dd(knots: Sequence[float], y):
@@ -50,38 +41,39 @@ def tp_minus_dd(knots: Sequence[float], y):
     y may be a scalar or an array.  Equals 0 for y at or below every knot and
     1 for y above every knot.
     """
+    return _divdiff(knots, y, minus=True)
+
+
+def _divdiff(knots, y, minus: bool):
     a = _as_knots(knots)
     if np.isscalar(y) or np.ndim(y) == 0:
-        b, c = _split(a, float(y))
-        return _minus_rec(list(b), list(c), float(y))
-    return _dd_grid(a, np.asarray(y, dtype=float), minus=True)
+        y = float(y)
+        below = a < y
+        # plain floats: the recurrence runs far faster on them than on numpy scalars
+        return _recurrence(a[below].tolist(), a[~below].tolist(), y, minus)
+    return _dd_grid(a, np.asarray(y, dtype=float), minus)
 
 
-def _plus_rec(b: list, c: list, y: float) -> float:
-    r, s = len(b), len(c)
-    if r == 0 or s == 0:
-        return 0.0
-    # flat length-(s+1) table; entry j holds alpha_{k,j} for the current row k
-    A = [0.0] * (s + 1)
-    A[1] = 1.0 / (c[0] - b[0])
-    for j in range(2, s + 1):
-        A[j] = (y - b[0]) * A[j - 1] / (c[j - 1] - b[0])
-    for k in range(2, r + 1):
-        bk = b[k - 1]
-        for j in range(1, s + 1):
-            A[j] = ((c[j - 1] - y) * A[j] + (y - bk) * A[j - 1]) / (c[j - 1] - bk)
-    return A[s]
-
-
-def _minus_rec(b: list, c: list, y: float) -> float:
+def _recurrence(b, c, y, minus: bool):
+    """The table recurrence for knots b below y and c at or above it, at one
+    float y or at an array of y that share the split."""
     r, s = len(b), len(c)
     if r == 0:
         return 0.0
     if s == 0:
-        return 1.0
-    A = [0.0] * (s + 1)
-    A[0] = 1.0
-    for k in range(1, r + 1):
+        return 1.0 if minus else 0.0
+    zero = 0.0 * y
+    # flat length-(s+1) table; entry j holds alpha_{k,j} for the current row k
+    A = [zero] * (s + 1)
+    if minus:
+        A[0] = zero + 1.0
+        first = 1
+    else:
+        A[1] = zero + 1.0 / (c[0] - b[0])
+        for j in range(2, s + 1):
+            A[j] = (y - b[0]) * A[j - 1] / (c[j - 1] - b[0])
+        first = 2
+    for k in range(first, r + 1):
         bk = b[k - 1]
         for j in range(1, s + 1):
             A[j] = ((c[j - 1] - y) * A[j] + (y - bk) * A[j - 1]) / (c[j - 1] - bk)
@@ -100,28 +92,7 @@ def _dd_grid(knots: np.ndarray, ys: np.ndarray, minus: bool) -> np.ndarray:
     counts = np.searchsorted(ks, flat, side="left")  # knots strictly below y
     for r in np.unique(counts):
         sel = counts == r
-        yv = flat[sel]
-        b, c = ks[:r], ks[r:]
-        s = c.size
-        if r == 0:
-            out[sel] = 0.0
-        elif s == 0:
-            out[sel] = 1.0 if minus else 0.0
-        else:
-            A = [np.zeros(yv.shape) for _ in range(s + 1)]
-            if minus:
-                A[0] = np.ones(yv.shape)
-                first = 1
-            else:
-                A[1] = np.full(yv.shape, 1.0 / (c[0] - b[0]))
-                for j in range(2, s + 1):
-                    A[j] = (yv - b[0]) * A[j - 1] / (c[j - 1] - b[0])
-                first = 2
-            for k in range(first, r + 1):
-                bk = b[k - 1]
-                for j in range(1, s + 1):
-                    A[j] = ((c[j - 1] - yv) * A[j] + (yv - bk) * A[j - 1]) / (c[j - 1] - bk)
-            out[sel] = A[s]
+        out[sel] = _recurrence(ks[:r], ks[r:], flat[sel], minus)
     return out.reshape(ys.shape)
 
 

@@ -6,16 +6,17 @@ whose density is a signed mixture of exponentials with rates 1/c_i, where
 c_i = nu_i^sigma / i.  That closed form requires the c_i of each chain to be
 positive and pairwise distinct; games violating this (the minimum capacity,
 for instance) are rejected with a pointer to the Monte Carlo path, since near
-ties make the partial-fraction coefficients blow up.
+ties make the partial-fraction coefficients blow up.  The scales, the
+regularity test and the partial-fraction weights are computed for all n!
+chains at once, on the array table of :func:`~choquet_dist.capacity.chain_table`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import Chain, SetFunction, enumerate_chains
+from .capacity import SetFunction, chain_table
 from .moments import moments_report
 from .osmoments import ExponentialOrderStats
 
@@ -25,79 +26,68 @@ C_DISTINCT_RTOL = 1e-9
 class RegularityError(ValueError):
     """A chain's exponential-mixture coefficients are degenerate."""
 
-    def __init__(self, message, sigma=None, indices=None):
+    def __init__(self, message, sigma=None):
         super().__init__(message)
         self.sigma = sigma
-        self.indices = indices
 
 
-@dataclass(frozen=True)
-class ExpChainCoeffs:
-    """Scale coefficients c_i = nu_i^sigma / i of one chain, with diagnostics."""
+def chain_coeffs(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scales c[k, i-1] = nu[k, i] / i of the (k, n+1) chain values nu, and
+    whether each row is regular: positive and pairwise distinct to
+    C_DISTINCT_RTOL.  For positive scales some pair is that close exactly
+    when some pair of neighbours in sorted order is."""
+    n = nu.shape[1] - 1
+    c = nu[:, 1:] / np.arange(1, n + 1)
+    s = np.sort(c, axis=1)
+    close = np.diff(s, axis=1) <= C_DISTINCT_RTOL * s[:, 1:]
+    return c, (s[:, 0] > 0.0) & ~np.any(close, axis=1)
 
-    sigma: tuple[int, ...]
-    c: np.ndarray
-    regular: bool
-    problem: str | None = None
 
-
-def chain_coeffs(chain: Chain) -> ExpChainCoeffs:
-    n = len(chain.sigma)
-    c = chain.nu_chain[1:] / np.arange(1, n + 1)
-    bad = None
+def _irregularity(sigma: tuple[int, ...], c: np.ndarray) -> RegularityError:
+    """The error for one irregular chain, naming its first problem: the
+    smallest nonpositive scale, else the lexicographically first close pair."""
     if np.any(c <= 0.0):
         i = int(np.argmin(c)) + 1
-        bad = f"c_{i} = {c[i - 1]:g} is not positive"
+        problem = f"c_{i} = {c[i - 1]:g} is not positive"
     else:
-        for i in range(n):
-            for k in range(i + 1, n):
-                if abs(c[i] - c[k]) <= C_DISTINCT_RTOL * max(abs(c[i]), abs(c[k])):
-                    bad = f"c_{i + 1} and c_{k + 1} coincide at {c[i]:g}"
-                    break
-            if bad:
-                break
-    return ExpChainCoeffs(chain.sigma, c, bad is None, bad)
-
-
-def regularity_report(g: SetFunction) -> list[ExpChainCoeffs]:
-    """Coefficient diagnostics for every chain, without raising."""
-    return [chain_coeffs(ch) for ch in enumerate_chains(g)]
+        i, k = np.triu_indices(c.size, 1)
+        close = np.abs(c[i] - c[k]) <= C_DISTINCT_RTOL * np.maximum(np.abs(c[i]), np.abs(c[k]))
+        j = np.flatnonzero(close)[0]
+        problem = f"c_{i[j] + 1} and c_{k[j] + 1} coincide at {c[i[j]]:g}"
+    return RegularityError(f"chain of sigma={sigma}: {problem}; the exponential closed form "
+                           "does not apply (perturb nu or use Monte Carlo)", sigma=sigma)
 
 
 def is_regular(g: SetFunction) -> bool:
-    return all(cc.regular for cc in regularity_report(g))
+    return bool(np.all(chain_coeffs(chain_table(g)[1])[1]))
 
 
 class ExponentialChoquetDist:
     """Exact distribution object for a regular game under exponential inputs.
 
-    Construction flattens all chains into one merged list of (scale, weight)
-    pairs; the density is then weights @ exp(-y / scales) and the cdf
-    integrates term by term.
+    Construction pools the (scale, weight) pairs of all chains by scale; the
+    density is then weights @ exp(-y / scales) and the cdf integrates term by
+    term.
     """
 
     def __init__(self, game: SetFunction):
         self.game = game
         n = game.n
-        pooled: dict[float, float] = {}
-        for ch in enumerate_chains(game):
-            cc = chain_coeffs(ch)
-            if not cc.regular:
-                raise RegularityError(
-                    f"chain of sigma={cc.sigma}: {cc.problem}; the exponential "
-                    "closed form does not apply (perturb nu or use Monte Carlo)",
-                    sigma=cc.sigma, indices=None)
-            c = cc.c
-            for i in range(n):
-                denom = 1.0
-                for k in range(n):
-                    if k != i:
-                        denom *= c[i] - c[k]
-                w = c[i] ** (n - 2) / denom  # n = 1 gives the bare 1/c factor
-                pooled[float(c[i])] = pooled.get(float(c[i]), 0.0) + w
-        fact = math.factorial(n)
-        self.scales = np.array(sorted(pooled))
-        self.weights = np.array([pooled[s] for s in self.scales]) / fact
+        sigmas, nu = chain_table(game)
+        c, regular = chain_coeffs(nu)
+        if not np.all(regular):
+            k = int(np.argmin(regular))
+            raise _irregularity(tuple(sigmas[k].tolist()), c[k])
+        # partial fractions of x^(n-2) over the n scales of each chain; n = 1
+        # gives the bare 1/c factor
+        denom = np.ones_like(c)
+        for k in range(n):
+            d = c - c[:, k:k + 1]
+            d[:, k] = 1.0
+            denom *= d
+        w = np.float_power(c, n - 2) / denom
+        self.scales, inverse = np.unique(c, return_inverse=True)
+        self.weights = np.bincount(inverse.ravel(), weights=w.ravel()) / math.factorial(n)
 
     def pdf(self, y):
         ya = np.asarray(y, dtype=float)

@@ -6,8 +6,9 @@ of uniform order statistics, so averaging over the n! orderings gives
     cdf:  F(y) = (1/n!)     sum_sigma  DD[(x - y)_-^n     : chain knots]
     pdf:  f(y) = (1/(n-1)!) sum_sigma  DD[(x - y)_+^(n-1) : chain knots]
 
-with the chain knots nu_0^sigma .. nu_n^sigma of each permutation.  The pdf
-is equivalently an equal-weight mixture of n! B-spline densities.  Raw
+with the chain knots nu_0^sigma .. nu_n^sigma of each permutation, read as
+the rows of one (n!, n+1) array from :func:`~choquet_dist.capacity.chain_table`.
+The pdf is equivalently an equal-weight mixture of n! B-spline densities.  Raw
 moments of any order come from a lattice sum over nested subset chains,
 while r = 1, 2 also have direct closed forms used to cross-check it.
 """
@@ -17,18 +18,22 @@ import math
 
 import numpy as np
 
-from .capacity import (Chain, SetFunction, enumerate_chains,
-                       inverse_binomials, ranked_zeta, subset_sizes)
+from .capacity import (SetFunction, chain_table, inverse_binomials, ranked_zeta,
+                       subset_sizes)
 from .divdiff import tp_minus_dd, tp_plus_dd
 
 
 class UniformChoquetDist:
-    """Distribution object caching the n! chains of a game."""
+    """Distribution object caching the n! chains of a game as arrays.
+
+    Row k of ``sigmas`` is the k-th ordering in lexicographic order and row k
+    of ``knots`` its chain values nu_0^sigma .. nu_n^sigma (see
+    :func:`~choquet_dist.capacity.chain_table`).
+    """
 
     def __init__(self, game: SetFunction):
         self.game = game
-        self.chains: tuple[Chain, ...] = tuple(enumerate_chains(game))
-        self._knots = [ch.nu_chain for ch in self.chains]
+        self.sigmas, self.knots = chain_table(game)
 
     def support(self) -> tuple[float, float]:
         vals = self.game.values
@@ -36,7 +41,7 @@ class UniformChoquetDist:
 
     def knot_values(self) -> np.ndarray:
         """Sorted distinct chain values; the pdf is polynomial between them."""
-        return np.unique(np.concatenate(self._knots))
+        return np.unique(self.knots)
 
     def cdf(self, y):
         """P[Y <= y]; scalar or array argument, clamped into [0, 1]."""
@@ -44,12 +49,12 @@ class UniformChoquetDist:
 
     def _cdf_raw(self, y):
         # unclamped permutation average; useful when chasing cancellation
-        total = sum(tp_minus_dd(k, y) for k in self._knots)
+        total = sum(tp_minus_dd(k, y) for k in self.knots)
         return total / math.factorial(self.game.n)
 
     def pdf(self, y):
         """Density at y; scalar or array argument."""
-        total = sum(tp_plus_dd(k, y) for k in self._knots)
+        total = sum(tp_plus_dd(k, y) for k in self.knots)
         return total / math.factorial(self.game.n - 1)
 
     def raw_moment(self, r: int) -> float:

@@ -10,6 +10,8 @@ import math
 import numpy as np
 from scipy import integrate, special, stats
 
+from choquet_dist.exponential import C_DISTINCT_RTOL, RegularityError
+
 
 def brute_choquet(values_by_subset: dict, x) -> float:
     """Direct sort-and-weight evaluation from the definition.
@@ -232,10 +234,10 @@ def expect_gn(dist, f) -> float:
     knots (f is the order-n antiderivative of the function whose expectation
     is wanted, and each ordering contributes n! times its region's share)."""
     total = 0.0
-    for ch in dist.chains:
-        if np.min(np.diff(np.sort(ch.nu_chain))) <= 1e-12:
-            raise ValueError(f"chain of sigma={ch.sigma} has repeated values")
-        total += dd_generic(f, ch.nu_chain)
+    for sigma, knots in zip(dist.sigmas, dist.knots):
+        if np.min(np.diff(np.sort(knots))) <= 1e-12:
+            raise ValueError(f"chain of sigma={tuple(sigma)} has repeated values")
+        total += dd_generic(f, knots)
     return total
 
 
@@ -306,3 +308,97 @@ def normal_step_limits(c) -> tuple[float, float]:
         if np.isfinite(hi):
             k0 = K(hi)
     return float(al), float(b2)
+
+
+# ---------------------------------------------------------------------------
+# per-chain routes: one permutation, one chain and one scalar at a time
+# ---------------------------------------------------------------------------
+
+def chain_walk(g) -> list:
+    """(sigma, nu_chain) of every permutation of 1..n in lexicographic order,
+    the prefix masks built one attribute at a time."""
+    out = []
+    for sigma in itertools.permutations(range(1, g.n + 1)):
+        nu_chain = np.zeros(g.n + 1)
+        m = 0
+        for i, k in enumerate(sigma, start=1):
+            m |= 1 << (k - 1)
+            nu_chain[i] = g.values[m]
+        out.append((sigma, nu_chain))
+    return out
+
+
+def walk_chain_coeffs(nu_chain):
+    """Scales c_i = nu_i / i of one chain and its first problem (None when the
+    chain is regular), the pairs scanned in lexicographic order."""
+    n = len(nu_chain) - 1
+    c = nu_chain[1:] / np.arange(1, n + 1)
+    if np.any(c <= 0.0):
+        i = int(np.argmin(c)) + 1
+        return c, f"c_{i} = {c[i - 1]:g} is not positive"
+    for i in range(n):
+        for k in range(i + 1, n):
+            if abs(c[i] - c[k]) <= C_DISTINCT_RTOL * max(abs(c[i]), abs(c[k])):
+                return c, f"c_{i + 1} and c_{k + 1} coincide at {c[i]:g}"
+    return c, None
+
+
+def walk_is_regular(g) -> bool:
+    return all(walk_chain_coeffs(nu_chain)[1] is None for _, nu_chain in chain_walk(g))
+
+
+def walk_exponential(g) -> tuple[np.ndarray, np.ndarray]:
+    """(scales, weights) of the exponential law: the partial-fraction weights
+    of every chain pooled by scale in a dict, in chain order; raises
+    RegularityError at the first irregular chain."""
+    n = g.n
+    pooled: dict[float, float] = {}
+    for sigma, nu_chain in chain_walk(g):
+        c, problem = walk_chain_coeffs(nu_chain)
+        if problem:
+            raise RegularityError(
+                f"chain of sigma={sigma}: {problem}; the exponential "
+                "closed form does not apply (perturb nu or use Monte Carlo)", sigma=sigma)
+        for i in range(n):
+            denom = 1.0
+            for k in range(n):
+                if k != i:
+                    denom *= c[i] - c[k]
+            w = c[i] ** (n - 2) / denom
+            pooled[float(c[i])] = pooled.get(float(c[i]), 0.0) + w
+    scales = np.array(sorted(pooled))
+    return scales, np.array([pooled[s] for s in scales]) / math.factorial(n)
+
+
+def walk_mixture(g, stats) -> tuple[np.ndarray, np.ndarray]:
+    """(means, variances) of the per-ordering components, the weight matrix
+    stacked chain by chain (only the identity chain for a symmetric game)."""
+    walk = chain_walk(g)[:1] if g.is_symmetric() else chain_walk(g)
+    W = np.array([np.diff(nu_chain)[::-1] for _, nu_chain in walk])
+    means = W @ stats.means
+    second = np.einsum("ki,ij,kj->k", W, stats.products, W)
+    return means, second - means * means
+
+
+def dd_recurrence(knots, y: float, minus: bool) -> float:
+    """De Boor / Varsi recurrence for the divided difference of (x-y)_+^(n-1)
+    or (x-y)_-^n at one y, on the knots in the order given."""
+    b = [t for t in knots if t < y]
+    c = [t for t in knots if t >= y]
+    r, s = len(b), len(c)
+    if r == 0:
+        return 0.0
+    if s == 0:
+        return 1.0 if minus else 0.0
+    A = [0.0] * (s + 1)
+    if minus:
+        A[0] = 1.0
+    else:
+        A[1] = 1.0 / (c[0] - b[0])
+        for j in range(2, s + 1):
+            A[j] = (y - b[0]) * A[j - 1] / (c[j - 1] - b[0])
+    for k in range(1 if minus else 2, r + 1):
+        bk = b[k - 1]
+        for j in range(1, s + 1):
+            A[j] = ((c[j - 1] - y) * A[j] + (y - bk) * A[j - 1]) / (c[j - 1] - bk)
+    return A[s]

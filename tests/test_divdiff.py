@@ -8,7 +8,7 @@ from scipy import integrate
 
 from choquet_dist import bspline, tp_minus_dd, tp_plus_dd
 
-from helpers import (dd_generic, plus_full_degree_recurrence,
+from helpers import (dd_generic, dd_recurrence, plus_full_degree_recurrence,
                      random_distinct_knots, rational_dd_with_scale,
                      tp_dd_distinct)
 
@@ -150,3 +150,18 @@ def test_knot_validation():
         tp_plus_dd((0.5,), 0.2)
     with pytest.raises(ValueError):
         tp_plus_dd((0.0, np.inf), 0.2)
+
+
+def test_scalar_and_grid_paths_match_reference_recurrence(rng):
+    # a scalar y runs on the knots as given and returns a plain float; a grid
+    # runs on the sorted knots; both bit for bit, repeated knots included
+    for n in range(1, 8):
+        knots = rng.normal(size=n + 1)
+        knots[n // 2] = knots[-1]
+        ys = np.concatenate([np.linspace(knots.min() - 0.5, knots.max() + 0.5, 41), knots])
+        for minus, fn in ((False, tp_plus_dd), (True, tp_minus_dd)):
+            want = [dd_recurrence(np.sort(knots), y, minus) for y in ys]
+            assert np.array_equal(fn(knots, ys), want), (n, minus)
+            for y in ys[::4].tolist():
+                got = fn(knots, y)
+                assert type(got) is float and got == dd_recurrence(knots, y, minus), (n, minus, y)

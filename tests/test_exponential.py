@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from choquet_dist import (ExponentialChoquetDist, RegularityError, exp_cdf,
-                          exp_moments, exp_pdf, is_regular, make_game,
-                          random_capacity, regularity_report)
+from choquet_dist import (ExponentialChoquetDist, RegularityError, chain_table,
+                          exp_cdf, exp_moments, exp_pdf, is_regular, make_game,
+                          random_capacity)
+from choquet_dist.exponential import chain_coeffs
 from choquet_dist.montecarlo import ks_statistic, sample_values
 
 
@@ -46,10 +47,12 @@ def test_min_capacity_via_monte_carlo():
     assert ks_statistic(ys, lambda y: 1 - np.exp(-n * np.maximum(y, 0))) < band
 
 
-def test_regularity_report_names_problem():
-    rep = regularity_report(_min_capacity(2))
-    assert all(not cc.regular for cc in rep)
-    assert "positive" in rep[0].problem
+def test_chain_coeffs_flag_every_min_capacity_chain():
+    c, regular = chain_coeffs(chain_table(_min_capacity(2))[1])
+    np.testing.assert_array_equal(c, [[0.0, 0.5], [0.0, 0.5]])
+    assert not regular.any()
+    with pytest.raises(RegularityError, match=r"sigma=\(1, 2\): c_1 = 0 is not positive"):
+        ExponentialChoquetDist(_min_capacity(2))
 
 
 def test_proportional_chain_rejected():

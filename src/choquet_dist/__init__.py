@@ -8,13 +8,13 @@ the normal-mixture approximation (:mod:`.asymptotic`), and a seedable Monte
 Carlo oracle (:mod:`.montecarlo`).
 """
 from .capacity import (CapacityCheck, CapacityFormatError, Chain, SetFunction,
-                       chain_for, chain_table, check_capacity, choquet,
-                       choquet_values, enumerate_chains, game_from_dict,
-                       game_to_dict, load_capacity, make_game, orness,
-                       random_capacity, save_capacity)
+                       chain_table, check_capacity, choquet, choquet_values,
+                       enumerate_chains, game_from_dict, game_to_dict,
+                       load_capacity, make_game, orness, random_capacity,
+                       save_capacity)
 from .divdiff import bspline, tp_minus_dd, tp_plus_dd
-from .exponential import (ExponentialChoquetDist, RegularityError, exp_cdf,
-                          exp_moments, exp_pdf, is_regular)
+from .exponential import (ExponentialChoquetDist, RegularityError, exp_moments,
+                          is_regular)
 from .moments import DistributionReport, moments_report, second_raw_moment
 from .moments import mean as choquet_mean
 from .montecarlo import MCReport, ks_statistic, sample, sample_values

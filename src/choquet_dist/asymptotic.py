@@ -29,7 +29,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import Chain, SetFunction, chain_table, subset_sizes
+from .capacity import SetFunction, chain_table, subset_sizes
 from .normal import norm_cdf, norm_pdf
 from .osmoments import OrderStats, QuantileModel
 
@@ -140,11 +140,11 @@ class WeightFunction:
         return WeightFunction(lambda u: np.full(np.shape(u), float(value)))
 
     @staticmethod
-    def from_chain(chain: Chain) -> "WeightFunction":
-        """Step function with J(i/n) = n p_{n-i+1}, extended as piecewise
-        constant on ((i-1)/n, i/n]; the grid values are pinned, the extension
-        between them is a choice."""
-        w = np.asarray(chain.weights)
+    def from_weights(weights) -> "WeightFunction":
+        """Step function with J(i/n) = n p_{n-i+1} for the chain weights
+        p_1..p_n, extended as piecewise constant on ((i-1)/n, i/n]; the grid
+        values are pinned, the extension between them is a choice."""
+        w = np.asarray(weights, dtype=float)
         n = w.size
 
         def step(u):

@@ -209,19 +209,6 @@ def require_capacity(g: SetFunction, what: str = "this operation") -> None:
         raise ValueError(f"{what} needs a capacity; nu(N) = {g[g.full_mask]} != 1")
 
 
-def chain_for(g: SetFunction, sigma: Iterable[int]) -> Chain:
-    """Chain values and weights of the permutation sigma of 1..n."""
-    sig = tuple(int(i) for i in sigma)
-    if sorted(sig) != list(range(1, g.n + 1)):
-        raise ValueError(f"{sig} is not a permutation of 1..{g.n}")
-    ch = np.zeros(g.n + 1)
-    m = 0
-    for i, k in enumerate(sig, start=1):
-        m |= 1 << (k - 1)
-        ch[i] = g.values[m]
-    return Chain(sig, ch, np.diff(ch))
-
-
 def chain_table(g: SetFunction) -> tuple[np.ndarray, np.ndarray]:
     """All n! orderings and the values of nu along their chains, as arrays.
 

@@ -6,9 +6,14 @@ the two quantities computed here are the n-th order divided differences of
     (x - y)_+^(n-1)    and    (x - y)_-^n,
 
 where x_+^k is x^k for x > 0 and 0 otherwise, and x_-^k is x^k for x < 0 and
-0 otherwise.  Both are evaluated with the de Boor / Varsi recurrence: split
-the knots into b's (below y) and c's (at or above y), so every denominator
-c_l - b_k is positive and coincident knots cost nothing.
+0 otherwise.  Both are evaluated with the de Boor / Varsi recurrence on the
+sorted knots: split them into b's (below y) and c's (at or above y), so every
+denominator c_l - b_k is positive and coincident knots cost nothing.
+
+One kernel, :func:`tp_dd_sum`, does this for a whole (k, n+1) table of knot
+rows and sums the rows: the (row, y) pairs that share a split run through the
+recurrence together, a block of pairs at a time.  The one-knot-vector
+functions are its one-row case.
 """
 from __future__ import annotations
 
@@ -16,13 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
+BLOCK = 1 << 14  # (row, y) pairs per pass of the recurrence
+
 
 def _as_knots(knots) -> np.ndarray:
     a = np.asarray(knots, dtype=float)
-    if a.ndim != 1 or a.size < 2:
-        raise ValueError("need a flat vector of at least 2 knots")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("knots must be finite")
+    if a.ndim != 1:
+        raise ValueError("need a flat vector of knots")
     return a
 
 
@@ -32,7 +37,7 @@ def tp_plus_dd(knots: Sequence[float], y):
     y may be a scalar or an array of shifts.  Returns 0 when y lies outside
     the closed knot hull.
     """
-    return _divdiff(knots, y, minus=False)
+    return tp_dd_sum(_as_knots(knots)[None], y, minus=False)
 
 
 def tp_minus_dd(knots: Sequence[float], y):
@@ -41,22 +46,47 @@ def tp_minus_dd(knots: Sequence[float], y):
     y may be a scalar or an array.  Equals 0 for y at or below every knot and
     1 for y above every knot.
     """
-    return _divdiff(knots, y, minus=True)
+    return tp_dd_sum(_as_knots(knots)[None], y, minus=True)
 
 
-def _divdiff(knots, y, minus: bool):
-    a = _as_knots(knots)
-    if np.isscalar(y) or np.ndim(y) == 0:
-        y = float(y)
-        below = a < y
-        # plain floats: the recurrence runs far faster on them than on numpy scalars
-        return _recurrence(a[below].tolist(), a[~below].tolist(), y, minus)
-    return _dd_grid(a, np.asarray(y, dtype=float), minus)
+def tp_dd_sum(table, y, minus: bool):
+    """Sum over the rows of a (k, n+1) knot table of the divided difference of
+    (x - y)_-^n (``minus``) or (x - y)_+^(n-1), at a scalar y (giving a
+    float) or an array of shifts (giving an array of their shape).
+
+    Each row is sorted, the (row, y) pairs with the same number of knots
+    strictly below y go through the recurrence together, and the rows are
+    added into the total in table order.
+    """
+    ks = np.asarray(table, dtype=float)
+    if ks.ndim != 2 or ks.shape[1] < 2:
+        raise ValueError("need rows of at least 2 knots")
+    if not np.all(np.isfinite(ks)):
+        raise ValueError("knots must be finite")
+    ks = np.sort(ks, axis=1)
+    ya = np.asarray(y, dtype=float)
+    flat = ya.ravel()
+    total = np.zeros(flat.size)
+    step = max(1, BLOCK // max(flat.size, 1))
+    for start in range(0, len(ks), step):
+        rows = ks[start:start + step]
+        # knots strictly below y, counted as searchsorted does (a NaN y lies
+        # above every knot)
+        counts = rows.shape[1] - np.count_nonzero(rows[:, :, None] >= flat, axis=1)
+        vals = np.empty(counts.shape)
+        for r in np.unique(counts):
+            i, j = np.nonzero(counts == r)
+            vals[i, j] = _recurrence(rows[i, :r].T, rows[i, r:].T, flat[j], minus)
+        # a running sum adds the rows one by one, as a loop over them would
+        total = np.cumsum(np.vstack([total, vals]), axis=0)[-1]
+    out = total.reshape(ya.shape)
+    return float(out) if ya.ndim == 0 else out
 
 
 def _recurrence(b, c, y, minus: bool):
-    """The table recurrence for knots b below y and c at or above it, at one
-    float y or at an array of y that share the split."""
+    """The table recurrence for knots b below y and c at or above it, at an
+    array of pairs that share the split: b[k] and c[j] hold the k-th b and the
+    j-th c of each pair, y its shift."""
     r, s = len(b), len(c)
     if r == 0:
         return 0.0
@@ -78,22 +108,6 @@ def _recurrence(b, c, y, minus: bool):
         for j in range(1, s + 1):
             A[j] = ((c[j - 1] - y) * A[j] + (y - bk) * A[j - 1]) / (c[j - 1] - bk)
     return A[s]
-
-
-def _dd_grid(knots: np.ndarray, ys: np.ndarray, minus: bool) -> np.ndarray:
-    """Vectorized recurrence over a vector of shifts.
-
-    All y falling between the same pair of sorted knots share one b/c split,
-    so the table updates run on whole buckets at once.
-    """
-    ks = np.sort(knots)
-    flat = ys.ravel()
-    out = np.empty(flat.shape)
-    counts = np.searchsorted(ks, flat, side="left")  # knots strictly below y
-    for r in np.unique(counts):
-        sel = counts == r
-        out[sel] = _recurrence(ks[:r], ks[r:], flat[sel], minus)
-    return out.reshape(ys.shape)
 
 
 def bspline(knots: Sequence[float], t):

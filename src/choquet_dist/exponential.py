@@ -86,8 +86,12 @@ class ExponentialChoquetDist:
             d[:, k] = 1.0
             denom *= d
         w = np.float_power(c, n - 2) / denom
+        # the weights of one scale can cancel by orders of magnitude: pool
+        # them by exactly rounded sums
         self.scales, inverse = np.unique(c, return_inverse=True)
-        self.weights = np.bincount(inverse.ravel(), weights=w.ravel()) / math.factorial(n)
+        inverse = inverse.ravel()
+        by_scale = np.split(w.ravel()[np.argsort(inverse)], np.cumsum(np.bincount(inverse))[:-1])
+        self.weights = np.array([math.fsum(part) for part in by_scale]) / math.factorial(n)
 
     def pdf(self, y):
         ya = np.asarray(y, dtype=float)
@@ -103,16 +107,6 @@ class ExponentialChoquetDist:
         vals = (1.0 - np.exp(-np.divide.outer(pos, self.scales))) @ terms
         out = np.where(ya >= 0.0, vals, 0.0)
         return float(out) if ya.ndim == 0 else out
-
-
-def exp_pdf(g: SetFunction, y):
-    """Density at y (scalar or array); raises RegularityError when the closed
-    form does not apply."""
-    return ExponentialChoquetDist(g).pdf(y)
-
-
-def exp_cdf(g: SetFunction, y):
-    return ExponentialChoquetDist(g).cdf(y)
 
 
 def exp_moments(g: SetFunction) -> tuple[float, float]:

@@ -7,10 +7,11 @@ of uniform order statistics, so averaging over the n! orderings gives
     pdf:  f(y) = (1/(n-1)!) sum_sigma  DD[(x - y)_+^(n-1) : chain knots]
 
 with the chain knots nu_0^sigma .. nu_n^sigma of each permutation, read as
-the rows of one (n!, n+1) array from :func:`~choquet_dist.capacity.chain_table`.
-The pdf is equivalently an equal-weight mixture of n! B-spline densities.  Raw
-moments of any order come from a lattice sum over nested subset chains,
-while r = 1, 2 also have direct closed forms used to cross-check it.
+the rows of one (n!, n+1) array from :func:`~choquet_dist.capacity.chain_table`
+and summed by one call of :func:`~choquet_dist.divdiff.tp_dd_sum`.  The pdf
+is equivalently an equal-weight mixture of n! B-spline densities.  Raw moments
+of any order come from a lattice sum over nested subset chains, while r = 1, 2
+also have direct closed forms used to cross-check it.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .capacity import (SetFunction, chain_table, inverse_binomials, ranked_zeta,
                        subset_sizes)
-from .divdiff import tp_minus_dd, tp_plus_dd
+from .divdiff import tp_dd_sum
 
 
 class UniformChoquetDist:
@@ -49,13 +50,11 @@ class UniformChoquetDist:
 
     def _cdf_raw(self, y):
         # unclamped permutation average; useful when chasing cancellation
-        total = sum(tp_minus_dd(k, y) for k in self.knots)
-        return total / math.factorial(self.game.n)
+        return tp_dd_sum(self.knots, y, minus=True) / math.factorial(self.game.n)
 
     def pdf(self, y):
         """Density at y; scalar or array argument."""
-        total = sum(tp_plus_dd(k, y) for k in self.knots)
-        return total / math.factorial(self.game.n - 1)
+        return tp_dd_sum(self.knots, y, minus=False) / math.factorial(self.game.n - 1)
 
     def raw_moment(self, r: int) -> float:
         """E[Y^r] as the exact lattice sum over nested subset chains.

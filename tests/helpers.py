@@ -349,10 +349,10 @@ def walk_is_regular(g) -> bool:
 
 def walk_exponential(g) -> tuple[np.ndarray, np.ndarray]:
     """(scales, weights) of the exponential law: the partial-fraction weights
-    of every chain pooled by scale in a dict, in chain order; raises
-    RegularityError at the first irregular chain."""
+    of every chain collected by scale in a dict, in chain order, and pooled
+    by math.fsum; raises RegularityError at the first irregular chain."""
     n = g.n
-    pooled: dict[float, float] = {}
+    pooled: dict[float, list[float]] = {}
     for sigma, nu_chain in chain_walk(g):
         c, problem = walk_chain_coeffs(nu_chain)
         if problem:
@@ -365,9 +365,9 @@ def walk_exponential(g) -> tuple[np.ndarray, np.ndarray]:
                 if k != i:
                     denom *= c[i] - c[k]
             w = c[i] ** (n - 2) / denom
-            pooled[float(c[i])] = pooled.get(float(c[i]), 0.0) + w
+            pooled.setdefault(float(c[i]), []).append(w)
     scales = np.array(sorted(pooled))
-    return scales, np.array([pooled[s] for s in scales]) / math.factorial(n)
+    return scales, np.array([math.fsum(pooled[s]) for s in scales]) / math.factorial(n)
 
 
 def walk_mixture(g, stats) -> tuple[np.ndarray, np.ndarray]:

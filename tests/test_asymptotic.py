@@ -5,19 +5,23 @@ import pytest
 from scipy import integrate, special
 
 from choquet_dist import (MixtureApprox, SetFunction, UniformOrderStats,
-                          WeightFunction, alpha, beta2, chain_for,
-                          check_capacity, enumerate_chains, mixture_approx,
-                          mixture_cdf, mixture_pdf, moments_report,
-                          power_weight_game, provider_for)
+                          WeightFunction, alpha, beta2, check_capacity,
+                          mixture_approx, mixture_cdf, mixture_pdf,
+                          moments_report, power_weight_game, provider_for)
 from choquet_dist.osmoments import (LAWS, exponential_quantile_model,
                                     normal_quantile_model,
                                     uniform_quantile_model)
 from choquet_dist.asymptotic import _GL_S, _GL_W, _GL_X, PanelRule
 from choquet_dist.montecarlo import sample_values
 
-from helpers import component_stats, game_kinds, normal_step_limits
+from helpers import chain_walk, component_stats, game_kinds, normal_step_limits
 
 POWERS = (0.25, 0.5, 1.0, 2.0, 3.0)
+
+
+def _chain_weights(g, sigma):
+    """The weights nu_i - nu_{i-1} along the chain of the ordering sigma."""
+    return np.diff(dict(chain_walk(g))[tuple(sigma)])
 
 
 def test_alpha_power_uniform():
@@ -113,7 +117,7 @@ def test_limits_of_chain_step_against_piecewise_oracle(ref_capacity):
     qm = normal_quantile_model()
     for g, sigma in ((power_weight_game(5, 2.0), (1, 2, 3, 4, 5)),
                      (ref_capacity, (2, 3, 1))):
-        J = WeightFunction.from_chain(chain_for(g, sigma))
+        J = WeightFunction.from_weights(_chain_weights(g, sigma))
         n = g.n
         assert J.breaks == tuple(i / n for i in range(1, n))
         want_alpha, want_beta2 = normal_step_limits(J((np.arange(n) + 0.5) / n))
@@ -125,7 +129,7 @@ def test_weight_functions_take_arrays():
     u = np.array([[0.05, 0.2], [0.5, 0.99]])
     const = WeightFunction.constant(2.0)(u)
     assert const.shape == u.shape and np.all(const == 2.0)
-    J = WeightFunction.from_chain(chain_for(power_weight_game(5, 2.0), (1, 2, 3, 4, 5)))
+    J = WeightFunction.from_weights(_chain_weights(power_weight_game(5, 2.0), (1, 2, 3, 4, 5)))
     got = J(u)
     assert got.shape == u.shape
     assert [float(J(v)) for v in u.ravel()] == got.ravel().tolist()
@@ -147,9 +151,8 @@ def test_power_weight_game_is_symmetric_with_stated_weights():
     n, a = 4, 2.0
     g = power_weight_game(n, a)
     assert g.is_symmetric()
-    ch = chain_for(g, (2, 4, 1, 3))
     want = [(1 / n) * ((n - i + 1) / n) ** a for i in range(1, n + 1)]
-    assert np.allclose(ch.weights, want)
+    assert np.allclose(_chain_weights(g, (2, 4, 1, 3)), want)
 
 
 def test_power_weight_rejects_bad_exponent():
@@ -159,11 +162,11 @@ def test_power_weight_rejects_bad_exponent():
 
 def test_step_weight_function_reproduces_grid():
     g = power_weight_game(5, 2.0)
-    ch = chain_for(g, (1, 2, 3, 4, 5))
-    J = WeightFunction.from_chain(ch)
+    weights = _chain_weights(g, (1, 2, 3, 4, 5))
+    J = WeightFunction.from_weights(weights)
     n = 5
     for i in range(1, n + 1):
-        want = n * ch.weights[n - i]
+        want = n * weights[n - i]
         assert J(i / n) == pytest.approx(want, rel=1e-12)
         assert J(i / n) == pytest.approx((i / n) ** 2, rel=1e-12)
 
@@ -243,11 +246,11 @@ def test_mixture_matches_per_call_component_oracle(rng):
                    provider_for("normal", n, dj_order=2), provider_for("normal", n, dj_order=3)]
         for kind, vals in game_kinds(n, rng).items():
             g = SetFunction(n, vals)
-            chains = ([chain_for(g, range(1, n + 1))] if g.is_symmetric()
-                      else list(enumerate_chains(g)))
+            walk = chain_walk(g)[:1] if g.is_symmetric() else chain_walk(g)
+            chains = [np.diff(nu_chain) for _, nu_chain in walk]
             for prov in records:
                 mix = mixture_approx(g, prov)
-                mean, var = np.array([component_stats(ch.weights, prov) for ch in chains]).T
+                mean, var = np.array([component_stats(w, prov) for w in chains]).T
                 second = var + mean**2
                 scale = float(np.max(np.abs(second), initial=0.0))
                 tag = (n, kind, prov.law, getattr(prov, "order", None))

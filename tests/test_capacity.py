@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choquet_dist import (CapacityFormatError, chain_for, check_capacity,
+from choquet_dist import (CapacityFormatError, chain_table, check_capacity,
                           choquet, choquet_values, enumerate_chains, make_game,
                           orness, random_capacity)
 from choquet_dist.capacity import game_from_dict, game_to_dict, n_max
 
-from helpers import brute_choquet, brute_random_capacity
+from helpers import brute_choquet, brute_random_capacity, chain_walk
 from conftest import REF_VALUES
 
 
@@ -77,16 +77,17 @@ def test_check_capacity_additive_uniform():
     assert chk.is_monotone and chk.is_normalized
 
 
-def test_chain_for_reference(ref_capacity):
-    ch = chain_for(ref_capacity, (3, 1, 2))
-    assert np.allclose(ch.nu_chain, [0.0, 0.55, 0.8, 1.0])
-    assert np.allclose(ch.weights, [0.55, 0.25, 0.2])
+def test_chain_table_reference_row(ref_capacity):
+    sigmas, nu = chain_table(ref_capacity)
+    (k,) = np.flatnonzero(np.all(sigmas == (3, 1, 2), axis=1))
+    assert np.allclose(nu[k], [0.0, 0.55, 0.8, 1.0])
+    assert np.allclose(np.diff(nu[k]), [0.55, 0.25, 0.2])
 
 
-def test_chain_for_n1():
-    g = make_game(1, {(1,): 0.7})
-    ch = chain_for(g, (1,))
-    assert np.allclose(ch.weights, [0.7])
+def test_chain_table_n1():
+    sigmas, nu = chain_table(make_game(1, {(1,): 0.7}))
+    assert sigmas.tolist() == [[1]]
+    assert np.allclose(np.diff(nu, axis=1), [[0.7]])
 
 
 def test_chain_symmetric_capacity_weights():
@@ -94,11 +95,6 @@ def test_chain_symmetric_capacity_weights():
                       [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]})
     for ch in enumerate_chains(g):
         assert np.allclose(ch.weights, [1 / 3] * 3)
-
-
-def test_chain_invalid_permutation(ref_capacity):
-    with pytest.raises(ValueError, match="permutation"):
-        chain_for(ref_capacity, (1, 1, 2))
 
 
 def test_enumerate_chains_counts(ref_capacity):
@@ -148,14 +144,12 @@ def test_choquet_length_mismatch(ref_capacity):
 
 def test_choquet_tie_handling(ref_capacity):
     # every admissible descending ordering of a tied vector gives one value
-    import itertools
     x = np.array([0.4, 0.4, 0.1])
     vals = []
-    for sig in itertools.permutations((1, 2, 3)):
+    for sig, nu_chain in chain_walk(ref_capacity):
         xs = x[[s - 1 for s in sig]]
         if all(xs[i] >= xs[i + 1] for i in range(2)):
-            ch = chain_for(ref_capacity, sig)
-            vals.append(float(np.dot(ch.weights, xs)))
+            vals.append(float(np.dot(np.diff(nu_chain), xs)))
     assert len(vals) >= 2
     assert np.allclose(vals, choquet(ref_capacity, x))
 

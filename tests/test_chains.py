@@ -8,12 +8,11 @@ import pytest
 
 from choquet_dist import (ExponentialChoquetDist, RegularityError, SetFunction,
                           UniformChoquetDist, chain_table, is_regular,
-                          make_game, mixture_approx, provider_for,
-                          tp_minus_dd, tp_plus_dd)
+                          make_game, mixture_approx, provider_for)
 from choquet_dist.exponential import C_DISTINCT_RTOL
 
-from helpers import (chain_walk, game_kinds, walk_exponential, walk_is_regular,
-                     walk_mixture)
+from helpers import (chain_walk, dd_recurrence, game_kinds, walk_exponential,
+                     walk_is_regular, walk_mixture)
 
 
 def _games(rng, sizes=range(1, 8)):
@@ -22,11 +21,12 @@ def _games(rng, sizes=range(1, 8)):
             yield (n, kind), SetFunction(n, vals)
 
 
-def _walk_uniform(g, y):
-    """pdf and unclamped cdf summed chain by chain."""
-    walk = chain_walk(g)
-    pdf = sum(tp_plus_dd(nu_chain, y) for _, nu_chain in walk)
-    cdf = sum(tp_minus_dd(nu_chain, y) for _, nu_chain in walk)
+def _walk_uniform(g, ys):
+    """pdf and unclamped cdf at each y: the reference recurrence on each
+    sorted chain, in plain floats, summed chain by chain."""
+    rows = [sorted(nu_chain.tolist()) for _, nu_chain in chain_walk(g)]
+    pdf, cdf = (np.array([sum(dd_recurrence(row, y, minus) for row in rows)
+                          for y in np.asarray(ys).tolist()]) for minus in (False, True))
     return pdf / math.factorial(g.n - 1), cdf / math.factorial(g.n)
 
 
@@ -76,7 +76,7 @@ def test_uniform_matches_walk(rng):
             assert np.array_equal(d.pdf(ys), pdf), tag
             assert np.array_equal(d._cdf_raw(ys), cdf), tag
         y = float(ys[9])
-        p, c = _walk_uniform(g, y)
+        (p,), (c,) = _walk_uniform(g, [y])
         assert type(d.pdf(y)) is float and d.pdf(y) == p and d._cdf_raw(y) == c, tag
 
 
@@ -159,7 +159,7 @@ def test_no_per_chain_walk(monkeypatch, ref_capacity):
 
     for name, mod in list(sys.modules.items()):
         if name == "choquet_dist" or name.startswith("choquet_dist."):
-            for attr in ("enumerate_chains", "chain_for", "Chain"):
+            for attr in ("enumerate_chains", "Chain"):
                 if hasattr(mod, attr):
                     monkeypatch.setattr(mod, attr, refuse)
     for g in (ref_capacity, make_game(2, {(1,): 0.2, (2,): 0.5, (1, 2): 1.0})):
@@ -169,3 +169,20 @@ def test_no_per_chain_walk(monkeypatch, ref_capacity):
     ExponentialChoquetDist(ref_capacity).pdf(1.0)
     mixture_approx(make_game(2, {(1,): 0.5, (2,): 0.5, (1, 2): 1.0}),
                    provider_for("normal", 2))
+
+
+def test_uniform_law_makes_no_per_row_calls(monkeypatch, ref_capacity):
+    """The uniform pdf and cdf sum the whole chain table in one kernel call,
+    never through the one-row divided differences."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-row divided difference used")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "choquet_dist" or name.startswith("choquet_dist."):
+            for attr in ("tp_plus_dd", "tp_minus_dd"):
+                if hasattr(mod, attr):
+                    monkeypatch.setattr(mod, attr, refuse)
+    d = UniformChoquetDist(ref_capacity)
+    for y in (0.4, np.linspace(0.0, 1.0, 5)):
+        d.pdf(y)
+        d.cdf(y)

@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from choquet_dist import bspline, tp_minus_dd, tp_plus_dd
+from choquet_dist import (SetFunction, UniformChoquetDist, bspline, chain_table,
+                          tp_minus_dd, tp_plus_dd)
+from choquet_dist.divdiff import BLOCK, tp_dd_sum
 
-from helpers import (dd_generic, dd_recurrence, plus_full_degree_recurrence,
-                     random_distinct_knots, rational_dd_with_scale,
-                     tp_dd_distinct)
+from helpers import (dd_generic, dd_recurrence, game_kinds,
+                     plus_full_degree_recurrence, random_distinct_knots,
+                     rational_dd_with_scale, tp_dd_distinct)
 
 KNOTS = (0.0, 0.55, 0.8, 1.0)
 
@@ -153,8 +155,8 @@ def test_knot_validation():
 
 
 def test_scalar_and_grid_paths_match_reference_recurrence(rng):
-    # a scalar y runs on the knots as given and returns a plain float; a grid
-    # runs on the sorted knots; both bit for bit, repeated knots included
+    # a scalar y and a grid both run on the sorted knots, bit for bit,
+    # repeated knots included; a scalar returns a plain float
     for n in range(1, 8):
         knots = rng.normal(size=n + 1)
         knots[n // 2] = knots[-1]
@@ -164,4 +166,64 @@ def test_scalar_and_grid_paths_match_reference_recurrence(rng):
             assert np.array_equal(fn(knots, ys), want), (n, minus)
             for y in ys[::4].tolist():
                 got = fn(knots, y)
-                assert type(got) is float and got == dd_recurrence(knots, y, minus), (n, minus, y)
+                assert type(got) is float and got == dd_recurrence(np.sort(knots), y, minus), \
+                    (n, minus, y)
+
+
+def _row_sums(table, ys, minus):
+    """Sum over the table rows, in order, of the reference recurrence on each
+    sorted row at each y, in plain floats."""
+    rows = [sorted(row) for row in np.asarray(table).tolist()]
+    return np.array([sum(dd_recurrence(row, y, minus) for row in rows)
+                     for y in np.asarray(ys).tolist()])
+
+
+def _assert_kernel_matches(table, ys, tag):
+    for minus in (False, True):
+        got = tp_dd_sum(table, ys, minus)
+        assert got.shape == np.shape(ys), tag
+        assert np.array_equal(got, _row_sums(table, ys, minus)), (tag, minus)
+
+
+def test_kernel_on_unsorted_chain_values(rng):
+    # a signed game is not monotone: its chain values come unsorted
+    nu = chain_table(SetFunction(5, game_kinds(5, rng)["signed"]))[1]
+    assert np.any(np.diff(nu, axis=1) < 0.0)
+    lo, hi = nu.min(), nu.max()
+    _assert_kernel_matches(nu, np.linspace(lo - 0.1, hi + 0.1, 37), "signed")
+
+
+def test_kernel_on_tied_knots_at_grid_points(rng):
+    # quarter-rounded values put repeated knots exactly on 0.25, 0.5, 0.75
+    vals = game_kinds(4, rng)["tied"]
+    nu = chain_table(SetFunction(4, vals))[1]
+    ys = np.linspace(0.0, 1.0, 21)
+    assert np.isin([0.25, 0.5, 0.75], nu).all() and np.isin([0.25, 0.5, 0.75], ys).all()
+    _assert_kernel_matches(nu, ys, "tied")
+
+
+def test_kernel_row_count_not_a_multiple_of_the_block(rng):
+    nu = chain_table(SetFunction(6, game_kinds(6, rng)["generic"]))[1]
+    ys = np.linspace(-0.1, 1.1, 37)
+    assert len(nu) > BLOCK // ys.size and len(nu) % (BLOCK // ys.size) != 0
+    _assert_kernel_matches(nu, ys, "blocks")
+
+
+def test_kernel_grid_longer_than_one_block(rng):
+    nu = chain_table(SetFunction(2, game_kinds(2, rng)["generic"]))[1]
+    ys = np.linspace(-0.1, 1.1, BLOCK + 7)
+    _assert_kernel_matches(nu, ys, "long grid")
+
+
+def test_kernel_shapes_and_zero_d_input(rng):
+    nu = chain_table(SetFunction(3, game_kinds(3, rng)["generic"]))[1]
+    ys = np.linspace(0.0, 1.0, 12).reshape(3, 4)
+    for minus in (False, True):
+        got = tp_dd_sum(nu, ys, minus)
+        assert got.shape == (3, 4)
+        assert np.array_equal(got.ravel(), _row_sums(nu, ys.ravel(), minus))
+        for y in (0.3, np.float64(0.3), np.array(0.3)):
+            got = tp_dd_sum(nu, y, minus)
+            assert type(got) is float and got == _row_sums(nu, [0.3], minus)[0]
+    d = UniformChoquetDist(SetFunction(3, game_kinds(3, rng)["generic"]))
+    assert type(d.pdf(np.array(0.3))) is float and type(d._cdf_raw(np.float64(0.3))) is float

@@ -5,8 +5,7 @@ import pytest
 from scipy import integrate
 
 from choquet_dist import (ExponentialChoquetDist, RegularityError, chain_table,
-                          exp_cdf, exp_moments, exp_pdf, is_regular, make_game,
-                          random_capacity)
+                          exp_moments, is_regular, make_game, random_capacity)
 from choquet_dist.exponential import chain_coeffs
 from choquet_dist.montecarlo import ks_statistic, sample_values
 
@@ -20,21 +19,21 @@ def _min_capacity(n):
 
 
 def test_n1_is_plain_exponential():
-    g = make_game(1, {(1,): 1.0})
+    dist = ExponentialChoquetDist(make_game(1, {(1,): 1.0}))
     for y in (0.0, 0.4, 2.5):
-        assert exp_pdf(g, y) == pytest.approx(math.exp(-y), rel=1e-12)
-    assert exp_cdf(g, 1.0) == pytest.approx(1 - math.exp(-1.0), rel=1e-12)
+        assert dist.pdf(y) == pytest.approx(math.exp(-y), rel=1e-12)
+    assert dist.cdf(1.0) == pytest.approx(1 - math.exp(-1.0), rel=1e-12)
 
 
 def test_n1_scaled():
     g = make_game(1, {(1,): 0.5})
     # Y = X/2 has density 2 e^{-2y}
-    assert exp_pdf(g, 0.3) == pytest.approx(2 * math.exp(-0.6), rel=1e-12)
+    assert ExponentialChoquetDist(g).pdf(0.3) == pytest.approx(2 * math.exp(-0.6), rel=1e-12)
 
 
 def test_min_capacity_rejected():
     with pytest.raises(RegularityError, match="not positive"):
-        exp_pdf(_min_capacity(3), 0.5)
+        ExponentialChoquetDist(_min_capacity(3))
     assert not is_regular(_min_capacity(3))
 
 
@@ -69,6 +68,18 @@ def test_reference_density_normalizes(ref_capacity):
     assert val == pytest.approx(1.0, abs=1e-7)
 
 
+def test_pooled_weights_keep_the_mass_under_cancellation():
+    # the third capacity drawn from default_rng([202, 0]), at n = 7: the
+    # 5,040 chain weights of the scale 1/7 cancel about 1,400-fold, and a
+    # running sum of them lost 5.5e-11 of the mass
+    rng = np.random.default_rng([202, 0])
+    for n in (5, 6):
+        random_capacity(n, rng)
+    dist = ExponentialChoquetDist(random_capacity(7, rng))
+    w, s = dist.weights, dist.scales
+    assert abs(w @ s - 1.0) <= 64 * np.finfo(float).eps * (np.abs(w) @ s)
+
+
 def test_cdf_limits(ref_capacity):
     dist = ExponentialChoquetDist(ref_capacity)
     assert dist.cdf(0.0) == 0.0
@@ -78,7 +89,7 @@ def test_cdf_limits(ref_capacity):
 
 def test_density_vanishes_at_origin_for_n_ge_2(ref_capacity):
     # partial fractions of x^{n-2} over n points cancel at y=0
-    assert exp_pdf(ref_capacity, 0.0) == pytest.approx(0.0, abs=1e-12)
+    assert ExponentialChoquetDist(ref_capacity).pdf(0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_pdf_nonnegative_on_grid(ref_capacity):

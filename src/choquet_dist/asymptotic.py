@@ -18,9 +18,10 @@ whose integrands are bounded and whose inner integral is cumulative.  One
 fixed composite Gauss-Legendre rule over the law's support does both.
 
 The integral itself is then approximately an equal-weight mixture of the
-per-ordering normals.  Whether the conditions hold for a data-driven game
-cannot be checked; the orness diagnostic is the customary heuristic and
-callers should treat non-symmetric step-J results as exploratory.
+normals of the chain table's rows (one row for a symmetric game).  Whether
+the conditions hold for a data-driven game cannot be checked; the orness
+diagnostic is the customary heuristic and callers should treat non-symmetric
+step-J results as exploratory.
 """
 from __future__ import annotations
 
@@ -176,11 +177,8 @@ def beta2(J: WeightFunction, qm: QuantileModel) -> float:
 
 @dataclass(frozen=True)
 class MixtureApprox:
-    """Equal-weight normal mixture; one component per distinct ordering.
-
-    For symmetric games all orderings coincide, so a single component with
-    weight 1 stands in for the n! identical ones.
-    """
+    """Equal-weight normal mixture, one component per row of the chain table
+    (a single component of weight 1 for a symmetric game)."""
 
     weights: np.ndarray
     means: np.ndarray
@@ -199,9 +197,7 @@ def mixture_approx(g: SetFunction, stats: OrderStats) -> MixtureApprox:
     symmetric game), so with the weight rows reversed into order-statistic
     order its mean and second moment contract the record's means and products.
     """
-    nu = (g.values[(1 << np.arange(g.n + 1)) - 1][None, :] if g.is_symmetric()
-          else chain_table(g)[1])
-    W = np.ascontiguousarray(np.diff(nu)[:, ::-1])
+    W = np.ascontiguousarray(np.diff(chain_table(g)[1])[:, ::-1])
     means = W @ stats.means
     second = np.einsum("ki,ij,kj->k", W, stats.products, W)
     return MixtureApprox(np.full(len(W), 1.0 / len(W)), means, second - means * means)
@@ -237,8 +233,8 @@ def power_weight_game(n: int, a: float) -> SetFunction:
 
     nu(S) depends on |S| only, so the induced aggregation is a linear
     combination of order statistics with generator J(u) = u^a.  Built
-    directly from per-cardinality prefix sums; n beyond the permutation cap
-    is fine here since nothing enumerates orderings.
+    directly from per-cardinality prefix sums; n beyond the enumeration cap
+    is fine here since its chain table is one row.
     """
     if a <= 0:
         raise ValueError("the exponent must be strictly positive")

@@ -31,8 +31,8 @@ class CapacityFormatError(ValueError):
 
 
 def n_max() -> int:
-    """Largest n whose n! chains :func:`chain_table` will build (default 10);
-    override with CHOQUET_NMAX.  Nothing else is bounded by it."""
+    """Largest n of the exponential law and of a non-symmetric game's n!
+    chains in :func:`chain_table` (default 10); override with CHOQUET_NMAX."""
     env = os.environ.get("CHOQUET_NMAX")
     return int(env) if env else DEFAULT_N_MAX
 
@@ -86,12 +86,12 @@ class SetFunction:
         sizes = subset_sizes(self.n)
         return np.bincount(sizes, weights=self.values, minlength=self.n + 1)
 
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        """True when nu(T) depends on |T| only."""
-        sizes = subset_sizes(self.n)
-        for t in range(1, self.n + 1):
-            lev = self.values[sizes == t]
-            if np.max(lev) - np.min(lev) > tol:
+    def is_symmetric(self) -> bool:
+        """True when nu(T) depends on |T| only: when every swap of adjacent
+        attributes leaves nu unchanged, as these swaps generate all orderings."""
+        for i in range(self.n - 1):
+            t = self.values.reshape(-1, 2, 2, 1 << i)
+            if not np.array_equal(t[:, 0, 1], t[:, 1, 0]):
                 return False
         return True
 
@@ -210,13 +210,18 @@ def require_capacity(g: SetFunction, what: str = "this operation") -> None:
 
 
 def chain_table(g: SetFunction) -> tuple[np.ndarray, np.ndarray]:
-    """All n! orderings and the values of nu along their chains, as arrays.
+    """Orderings of 1..n and nu along their chains; callers average the rows.
 
     Row k of ``sigmas`` (n!, n) int8 is the k-th permutation of 1..n in
     lexicographic order; row k of ``nu`` (n!, n+1) holds nu of its nested
-    prefixes, nu[k, i] = nu({sigma_k(1..i)}) with nu[k, 0] = 0.
+    prefixes, nu[k, i] = nu({sigma_k(1..i)}) with nu[k, 0] = 0.  A symmetric
+    game, whose orderings share one chain, gets the identity row alone at any
+    n; otherwise n is capped at :func:`n_max`.
     """
     n = g.n
+    if g.is_symmetric():
+        return (np.arange(1, n + 1, dtype=np.int8)[None],
+                g.values[(1 << np.arange(n + 1)) - 1][None])
     if n > n_max():
         raise ValueError(f"n={n} exceeds the permutation-enumeration cap {n_max()}; "
                          "set CHOQUET_NMAX to raise it")
@@ -229,15 +234,15 @@ def chain_table(g: SetFunction) -> tuple[np.ndarray, np.ndarray]:
 
 
 def enumerate_chains(g: SetFunction) -> Iterator[Chain]:
-    """All n! chains, in lexicographic sigma order: the rows of
-    :func:`chain_table` as :class:`Chain` objects."""
+    """The rows of :func:`chain_table` as :class:`Chain` objects: all n!
+    chains in lexicographic sigma order, or the one chain of a symmetric game."""
     sigmas, nu = chain_table(g)
     for sig, ch in zip(sigmas.tolist(), nu):
         yield Chain(tuple(sig), ch, np.diff(ch))
 
 
 def choquet(g: SetFunction, x) -> float:
-    """Choquet integral of one input vector.
+    """Choquet integral of one input vector, a row of :func:`choquet_values`.
 
     Ties are broken by a stable descending sort; the value does not depend on
     the choice among admissible orderings.
@@ -245,14 +250,7 @@ def choquet(g: SetFunction, x) -> float:
     xa = np.asarray(x, dtype=float)
     if xa.shape != (g.n,):
         raise ValueError(f"expected {g.n} coordinates, got shape {xa.shape}")
-    order = np.argsort(-xa, kind="stable")
-    total, prev, m = 0.0, 0.0, 0
-    for idx in order:
-        m |= 1 << int(idx)
-        v = g.values[m]
-        total += (v - prev) * xa[idx]
-        prev = v
-    return total
+    return float(choquet_values(g, xa[None])[0])
 
 
 def choquet_values(g: SetFunction, x: np.ndarray) -> np.ndarray:

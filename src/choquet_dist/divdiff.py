@@ -52,7 +52,8 @@ def tp_minus_dd(knots: Sequence[float], y):
 def tp_dd_sum(table, y, minus: bool):
     """Sum over the rows of a (k, n+1) knot table of the divided difference of
     (x - y)_-^n (``minus``) or (x - y)_+^(n-1), at a scalar y (giving a
-    float) or an array of shifts (giving an array of their shape).
+    float) or an array of shifts (giving an array of their shape); a NaN
+    shift gives NaN.
 
     Each row is sorted, the (row, y) pairs with the same number of knots
     strictly below y go through the recurrence together, and the rows are
@@ -70,8 +71,7 @@ def tp_dd_sum(table, y, minus: bool):
     step = max(1, BLOCK // max(flat.size, 1))
     for start in range(0, len(ks), step):
         rows = ks[start:start + step]
-        # knots strictly below y, counted as searchsorted does (a NaN y lies
-        # above every knot)
+        # knots strictly below y (a NaN y counts as above all, then gets NaN)
         counts = rows.shape[1] - np.count_nonzero(rows[:, :, None] >= flat, axis=1)
         vals = np.empty(counts.shape)
         for r in np.unique(counts):
@@ -79,6 +79,7 @@ def tp_dd_sum(table, y, minus: bool):
             vals[i, j] = _recurrence(rows[i, :r].T, rows[i, r:].T, flat[j], minus)
         # a running sum adds the rows one by one, as a loop over them would
         total = np.cumsum(np.vstack([total, vals]), axis=0)[-1]
+    total[np.isnan(flat)] = np.nan
     out = total.reshape(ya.shape)
     return float(out) if ya.ndim == 0 else out
 

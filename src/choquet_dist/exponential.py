@@ -7,8 +7,9 @@ c_i = nu_i^sigma / i.  That closed form requires the c_i of each chain to be
 positive and pairwise distinct; games violating this (the minimum capacity,
 for instance) are rejected with a pointer to the Monte Carlo path, since near
 ties make the partial-fraction coefficients blow up.  The scales, the
-regularity test and the partial-fraction weights are computed for all n!
-chains at once, on the array table of :func:`~choquet_dist.capacity.chain_table`.
+regularity test and the partial-fraction weights are computed for all rows
+of :func:`~choquet_dist.capacity.chain_table` at once.  Past n_max the
+weights cancel and the mass strays from 1: every game is refused there.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from .capacity import SetFunction, chain_table
+from .capacity import SetFunction, chain_table, n_max
 from .moments import moments_report
 from .osmoments import ExponentialOrderStats
 
@@ -73,6 +74,9 @@ class ExponentialChoquetDist:
     def __init__(self, game: SetFunction):
         self.game = game
         n = game.n
+        if n > n_max():
+            raise ValueError(f"n={n} exceeds {n_max()}, beyond which the exponential law's "
+                             "partial-fraction weights cancel; set CHOQUET_NMAX to raise it")
         sigmas, nu = chain_table(game)
         c, regular = chain_coeffs(nu)
         if not np.all(regular):
@@ -91,13 +95,13 @@ class ExponentialChoquetDist:
         self.scales, inverse = np.unique(c, return_inverse=True)
         inverse = inverse.ravel()
         by_scale = np.split(w.ravel()[np.argsort(inverse)], np.cumsum(np.bincount(inverse))[:-1])
-        self.weights = np.array([math.fsum(part) for part in by_scale]) / math.factorial(n)
+        self.weights = np.array([math.fsum(part) for part in by_scale]) / len(c)
 
     def pdf(self, y):
         ya = np.asarray(y, dtype=float)
         pos = np.maximum(ya, 0.0)  # negative y contributes 0; avoid exp overflow
         dens = np.exp(-np.divide.outer(pos, self.scales)) @ self.weights
-        out = np.where(ya >= 0.0, dens, 0.0)
+        out = np.where(ya < 0.0, 0.0, dens)
         return float(out) if ya.ndim == 0 else out
 
     def cdf(self, y):
@@ -105,7 +109,7 @@ class ExponentialChoquetDist:
         pos = np.maximum(ya, 0.0)
         terms = self.weights * self.scales
         vals = (1.0 - np.exp(-np.divide.outer(pos, self.scales))) @ terms
-        out = np.where(ya >= 0.0, vals, 0.0)
+        out = np.where(ya < 0.0, 0.0, vals)
         return float(out) if ya.ndim == 0 else out
 
 

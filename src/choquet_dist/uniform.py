@@ -6,12 +6,12 @@ of uniform order statistics, so averaging over the n! orderings gives
     cdf:  F(y) = (1/n!)     sum_sigma  DD[(x - y)_-^n     : chain knots]
     pdf:  f(y) = (1/(n-1)!) sum_sigma  DD[(x - y)_+^(n-1) : chain knots]
 
-with the chain knots nu_0^sigma .. nu_n^sigma of each permutation, read as
-the rows of one (n!, n+1) array from :func:`~choquet_dist.capacity.chain_table`
-and summed by one call of :func:`~choquet_dist.divdiff.tp_dd_sum`.  The pdf
-is equivalently an equal-weight mixture of n! B-spline densities.  Raw moments
-of any order come from a lattice sum over nested subset chains, while r = 1, 2
-also have direct closed forms used to cross-check it.
+with the chain knots nu_0^sigma .. nu_n^sigma of each permutation: averages
+over the rows of :func:`~choquet_dist.capacity.chain_table`, summed by one call
+of :func:`~choquet_dist.divdiff.tp_dd_sum`.  The pdf is an equal-weight mixture
+of n! B-spline densities, or of one for a symmetric game (an OWA function),
+whose orderings share one chain.  Raw moments of any order come from a lattice
+sum over nested subset chains; r = 1, 2 also have closed forms to check it.
 """
 from __future__ import annotations
 
@@ -25,11 +25,10 @@ from .divdiff import tp_dd_sum
 
 
 class UniformChoquetDist:
-    """Distribution object caching the n! chains of a game as arrays.
+    """Distribution object caching the chain table of a game as arrays.
 
-    Row k of ``sigmas`` is the k-th ordering in lexicographic order and row k
-    of ``knots`` its chain values nu_0^sigma .. nu_n^sigma (see
-    :func:`~choquet_dist.capacity.chain_table`).
+    Row k of ``sigmas`` is an ordering and row k of ``knots`` its chain values
+    nu_0^sigma .. nu_n^sigma (see :func:`~choquet_dist.capacity.chain_table`).
     """
 
     def __init__(self, game: SetFunction):
@@ -49,12 +48,13 @@ class UniformChoquetDist:
         return np.clip(self._cdf_raw(y), 0.0, 1.0)
 
     def _cdf_raw(self, y):
-        # unclamped permutation average; useful when chasing cancellation
-        return tp_dd_sum(self.knots, y, minus=True) / math.factorial(self.game.n)
+        # unclamped average over the chains; useful when chasing cancellation
+        return tp_dd_sum(self.knots, y, minus=True) / len(self.knots)
 
     def pdf(self, y):
         """Density at y; scalar or array argument."""
-        return tp_dd_sum(self.knots, y, minus=False) / math.factorial(self.game.n - 1)
+        # n times the average over the chains: the divisor is (n-1)! on n! rows
+        return tp_dd_sum(self.knots, y, minus=False) / (len(self.knots) / self.game.n)
 
     def raw_moment(self, r: int) -> float:
         """E[Y^r] as the exact lattice sum over nested subset chains.

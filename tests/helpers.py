@@ -328,6 +328,13 @@ def chain_walk(g) -> list:
     return out
 
 
+def table_walk(g) -> list:
+    """The chains a chain table holds: every ordering's, or only the identity
+    ordering's for a symmetric game, whose orderings all share one chain."""
+    walk = chain_walk(g)
+    return walk[:1] if g.is_symmetric() else walk
+
+
 def walk_chain_coeffs(nu_chain):
     """Scales c_i = nu_i / i of one chain and its first problem (None when the
     chain is regular), the pairs scanned in lexicographic order."""
@@ -349,11 +356,13 @@ def walk_is_regular(g) -> bool:
 
 def walk_exponential(g) -> tuple[np.ndarray, np.ndarray]:
     """(scales, weights) of the exponential law: the partial-fraction weights
-    of every chain collected by scale in a dict, in chain order, and pooled
-    by math.fsum; raises RegularityError at the first irregular chain."""
+    of every chain of the table collected by scale in a dict, in chain order,
+    pooled by math.fsum and averaged over the chains; raises RegularityError
+    at the first irregular chain."""
     n = g.n
+    walk = table_walk(g)
     pooled: dict[float, list[float]] = {}
-    for sigma, nu_chain in chain_walk(g):
+    for sigma, nu_chain in walk:
         c, problem = walk_chain_coeffs(nu_chain)
         if problem:
             raise RegularityError(
@@ -367,14 +376,13 @@ def walk_exponential(g) -> tuple[np.ndarray, np.ndarray]:
             w = c[i] ** (n - 2) / denom
             pooled.setdefault(float(c[i]), []).append(w)
     scales = np.array(sorted(pooled))
-    return scales, np.array([math.fsum(pooled[s]) for s in scales]) / math.factorial(n)
+    return scales, np.array([math.fsum(pooled[s]) for s in scales]) / len(walk)
 
 
 def walk_mixture(g, stats) -> tuple[np.ndarray, np.ndarray]:
     """(means, variances) of the per-ordering components, the weight matrix
     stacked chain by chain (only the identity chain for a symmetric game)."""
-    walk = chain_walk(g)[:1] if g.is_symmetric() else chain_walk(g)
-    W = np.array([np.diff(nu_chain)[::-1] for _, nu_chain in walk])
+    W = np.array([np.diff(nu_chain)[::-1] for _, nu_chain in table_walk(g)])
     means = W @ stats.means
     second = np.einsum("ki,ij,kj->k", W, stats.products, W)
     return means, second - means * means

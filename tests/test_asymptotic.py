@@ -14,7 +14,7 @@ from choquet_dist.osmoments import (LAWS, exponential_quantile_model,
 from choquet_dist.asymptotic import _GL_S, _GL_W, _GL_X, PanelRule
 from choquet_dist.montecarlo import sample_values
 
-from helpers import chain_walk, component_stats, game_kinds, normal_step_limits
+from helpers import chain_walk, component_stats, game_kinds, normal_step_limits, table_walk
 
 POWERS = (0.25, 0.5, 1.0, 2.0, 3.0)
 
@@ -246,7 +246,7 @@ def test_mixture_matches_per_call_component_oracle(rng):
                    provider_for("normal", n, dj_order=2), provider_for("normal", n, dj_order=3)]
         for kind, vals in game_kinds(n, rng).items():
             g = SetFunction(n, vals)
-            walk = chain_walk(g)[:1] if g.is_symmetric() else chain_walk(g)
+            walk = table_walk(g)
             chains = [np.diff(nu_chain) for _, nu_chain in walk]
             for prov in records:
                 mix = mixture_approx(g, prov)

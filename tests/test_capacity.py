@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choquet_dist import (CapacityFormatError, chain_table, check_capacity,
-                          choquet, choquet_values, enumerate_chains, make_game,
-                          orness, random_capacity)
+from choquet_dist import (CapacityFormatError, SetFunction, chain_table,
+                          check_capacity, choquet, choquet_values, enumerate_chains,
+                          make_game, orness, power_weight_game, random_capacity)
 from choquet_dist.capacity import game_from_dict, game_to_dict, n_max
 
-from helpers import brute_choquet, brute_random_capacity, chain_walk
+from helpers import brute_choquet, brute_random_capacity, chain_walk, game_kinds
 from conftest import REF_VALUES
 
 
@@ -130,11 +130,13 @@ def test_choquet_matches_brute_force(ref_capacity, rng):
 
 
 def test_choquet_values_vectorized(ref_capacity, rng):
+    by_subset = {frozenset(k): v for k, v in REF_VALUES.items()}
+    by_subset[frozenset()] = 0.0
     X = rng.normal(size=(200, 3))
     vec = choquet_values(ref_capacity, X)
     assert vec.shape == (200,)
     for row, v in zip(X, vec):
-        assert v == pytest.approx(choquet(ref_capacity, row), abs=1e-12)
+        assert v == pytest.approx(brute_choquet(by_subset, row), abs=1e-12)
 
 
 def test_choquet_length_mismatch(ref_capacity):
@@ -242,16 +244,42 @@ def test_random_capacity_matches_running_max_oracle():
 def test_nmax_env_override(monkeypatch):
     monkeypatch.setenv("CHOQUET_NMAX", "3")
     assert n_max() == 3
-    g = make_game(4, {s: 1.0 for s in _all_nonempty(4)})  # building never enumerates
+    g = random_capacity(4, np.random.default_rng(4))  # building never enumerates
     with pytest.raises(ValueError, match="CHOQUET_NMAX"):
         next(enumerate_chains(g))
 
 
 def test_enumerate_chains_respects_cap():
-    from choquet_dist import power_weight_game
-    g = power_weight_game(12, 2.0)  # constructible, but 12! chains are not
+    g = random_capacity(11, np.random.default_rng(11))  # constructible, but 11! chains are not
     with pytest.raises(ValueError, match="CHOQUET_NMAX"):
         next(enumerate_chains(g))
+
+
+def _levels_constant(vals, n):
+    """nu(T) depends on |T| only, checked level by level."""
+    sizes = [bin(m).count("1") for m in range(1 << n)]
+    return all(len({v for v, s in zip(vals.tolist(), sizes) if s == t}) == 1
+               for t in range(n + 1))
+
+
+def test_is_symmetric_matches_per_level_check(rng):
+    for n in range(1, 9):
+        for kind, vals in game_kinds(n, rng).items():
+            assert SetFunction(n, vals).is_symmetric() == _levels_constant(vals, n), (n, kind)
+        if n > 1:  # one value moved by one ulp, at a middle mask and at level n-1
+            for mask in ((1 << n) // 3, (1 << n) - 2):
+                bumped = game_kinds(n, rng)["symmetric"]
+                bumped[mask] = np.nextafter(bumped[mask], 2.0)
+                assert not SetFunction(n, bumped).is_symmetric(), (n, mask)
+
+
+def test_symmetric_chain_table_is_one_row():
+    for n, a in ((1, 2.0), (12, 2.0), (20, 0.5), (24, 1.0)):
+        g = power_weight_game(n, a)
+        sigmas, nu = chain_table(g)
+        assert sigmas.tolist() == [list(range(1, n + 1))]
+        assert nu.tolist() == [[g.values[(1 << i) - 1] for i in range(n + 1)]]
+        assert len(list(enumerate_chains(g))) == 1
 
 
 def test_json_round_trip(ref_capacity):

@@ -1,5 +1,7 @@
-"""The n! chain table and its array consumers against the per-chain routes of
-helpers.py: equal arrays, equal error text, equal regularity verdicts."""
+"""The chain table and its array consumers against the per-chain routes of
+helpers.py: equal arrays, equal error text, equal regularity verdicts.  A
+symmetric game's table is its one shared chain, so it is compared with the
+one-row walk."""
 import math
 import sys
 
@@ -11,7 +13,7 @@ from choquet_dist import (ExponentialChoquetDist, RegularityError, SetFunction,
                           make_game, mixture_approx, provider_for)
 from choquet_dist.exponential import C_DISTINCT_RTOL
 
-from helpers import (chain_walk, dd_recurrence, game_kinds, walk_exponential,
+from helpers import (dd_recurrence, game_kinds, table_walk, walk_exponential,
                      walk_is_regular, walk_mixture)
 
 
@@ -23,11 +25,12 @@ def _games(rng, sizes=range(1, 8)):
 
 def _walk_uniform(g, ys):
     """pdf and unclamped cdf at each y: the reference recurrence on each
-    sorted chain, in plain floats, summed chain by chain."""
-    rows = [sorted(nu_chain.tolist()) for _, nu_chain in chain_walk(g)]
+    sorted chain of the table, in plain floats, summed chain by chain; the
+    pdf is n times the average, the cdf the average."""
+    rows = [sorted(nu_chain.tolist()) for _, nu_chain in table_walk(g)]
     pdf, cdf = (np.array([sum(dd_recurrence(row, y, minus) for row in rows)
                           for y in np.asarray(ys).tolist()]) for minus in (False, True))
-    return pdf / math.factorial(g.n - 1), cdf / math.factorial(g.n)
+    return pdf / (len(rows) / g.n), cdf / len(rows)
 
 
 def _exp_outcome(build, g):
@@ -60,8 +63,12 @@ def _assert_same_exponential(g, tag=None):
 def test_chain_table_matches_walk(rng):
     for tag, g in _games(rng):
         sigmas, nu = chain_table(g)
-        walk = chain_walk(g)
-        assert sigmas.dtype == np.int8 and sigmas.shape == (math.factorial(g.n), g.n), tag
+        walk = table_walk(g)
+        if tag[1] in ("symmetric", "zero"):
+            assert len(walk) == 1, tag
+        elif tag[1] != "tied":  # rounding can make a small tied game symmetric
+            assert len(walk) == math.factorial(g.n), tag
+        assert sigmas.dtype == np.int8 and sigmas.shape == (len(walk), g.n), tag
         assert np.array_equal(sigmas, [sigma for sigma, _ in walk]), tag
         assert np.array_equal(nu, [nu_chain for _, nu_chain in walk]), tag
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from choquet_dist import (closed_form_mean, closed_form_sd, ks_statistic,
-                          power_weight_game, save_capacity)
+                          power_weight_game, random_capacity, save_capacity)
 from choquet_dist.cli import build_parser, main, parse_grid
 from choquet_dist.capacity import CapacityFormatError
 from choquet_dist.osmoments import LAWS
@@ -112,9 +112,10 @@ def test_moments_normal_order3(capsys):
 
 
 def test_moments_above_enumeration_cap(tmp_path, capsys):
-    # moments never walk chains, so n = 12 works; pdf enumerates and refuses
-    g = power_weight_game(12, 2.0)
-    path = tmp_path / "n12.json"
+    # moments never walk chains, so n = 11 works; pdf would enumerate 11!
+    # chains of this non-symmetric capacity and refuses
+    g = random_capacity(11, np.random.default_rng(11))
+    path = tmp_path / "n11.json"
     save_capacity(g, path)
     code, out, _ = run_cli(capsys, "moments", "--law", "uniform", "--capacity", str(path))
     assert code == 0
@@ -125,6 +126,24 @@ def test_moments_above_enumeration_cap(tmp_path, capsys):
                            "--grid", "0:1:5")
     assert code == 2
     assert "CHOQUET_NMAX" in err
+
+
+def test_symmetric_pdf_above_enumeration_cap(tmp_path, capsys):
+    # a symmetric game is one chain, so the uniform pdf needs no enumeration;
+    # the exponential law keeps its cap, where its weights cancel
+    g = power_weight_game(12, 2.0)
+    path = tmp_path / "n12.json"
+    save_capacity(g, path)
+    code, out, _ = run_cli(capsys, "pdf", "--law", "uniform", "--capacity", str(path),
+                           "--grid", "0:1:5")
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert rows[0] == "y,pdf,cdf" and len(rows) == 6
+    assert rows[1] == "0,0,0" and rows[-1].endswith(",1")
+    code, _, err = run_cli(capsys, "pdf", "--law", "exponential", "--capacity", str(path),
+                           "--grid", "0:1:5")
+    assert code == 2
+    assert "CHOQUET_NMAX" in err and "cancel" in err
 
 
 def test_pdf_grid_csv(tmp_path, capsys):

@@ -47,11 +47,23 @@ def test_min_capacity_via_monte_carlo():
 
 
 def test_chain_coeffs_flag_every_min_capacity_chain():
-    c, regular = chain_coeffs(chain_table(_min_capacity(2))[1])
-    np.testing.assert_array_equal(c, [[0.0, 0.5], [0.0, 0.5]])
-    assert not regular.any()
-    with pytest.raises(RegularityError, match=r"sigma=\(1, 2\): c_1 = 0 is not positive"):
-        ExponentialChoquetDist(_min_capacity(2))
+    # the min capacity is symmetric, so its table is the one identity chain;
+    # lowering nu({2}) breaks the symmetry and gives two chains, both irregular
+    lowered = make_game(2, {(1,): 0.0, (2,): -0.1, (1, 2): 1.0})
+    for g, want in ((_min_capacity(2), [[0.0, 0.5]]), (lowered, [[0.0, 0.5], [-0.1, 0.5]])):
+        c, regular = chain_coeffs(chain_table(g)[1])
+        np.testing.assert_array_equal(c, want)
+        assert not regular.any()
+        with pytest.raises(RegularityError, match=r"sigma=\(1, 2\): c_1 = 0 is not positive"):
+            ExponentialChoquetDist(g)
+
+
+def test_nan_shift_gives_nan():
+    d = ExponentialChoquetDist(make_game(2, {(1,): 0.4, (2,): 0.7, (1, 2): 1.0}))
+    for f in (d.pdf, d.cdf):
+        assert math.isnan(f(math.nan))
+        out = f(np.array([-1.0, math.nan, 0.7]))
+        assert out[0] == 0.0 and np.isnan(out[1]) and out[2] > 0.0
 
 
 def test_proportional_chain_rejected():

@@ -6,12 +6,12 @@ from scipy import integrate
 
 from choquet_dist import (SetFunction, UniformChoquetDist, UniformOrderStats,
                           bspline, closed_form_mean, closed_form_second_moment,
-                          make_game, random_capacity)
+                          make_game, power_weight_game, random_capacity)
 from choquet_dist.moments import mean as general_mean
 from choquet_dist.moments import second_raw_moment
 from choquet_dist.montecarlo import ks_statistic, sample_values
 
-from helpers import brute_raw_moment, expect_gn, game_kinds
+from helpers import brute_raw_moment, dd_recurrence, expect_gn, game_kinds
 
 
 def _all_nonempty(n):
@@ -67,6 +67,36 @@ def test_pdf_symmetric_single_bspline():
     from choquet_dist import tp_minus_dd
     for y in (0.2, 0.5, 0.9):
         assert d.cdf(y) == pytest.approx(tp_minus_dd(knots, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, a", [(12, 2.0), (20, 0.5)])
+def test_symmetric_law_is_one_bspline_above_the_cap(n, a):
+    # every ordering of a symmetric game has the chain of its level values,
+    # so the exact law is one B-spline on them and n_max does not apply
+    g = power_weight_game(n, a)
+    d = UniformChoquetDist(g)
+    assert d.knots.shape == (1, n + 1)
+    levels = [g.values[(1 << i) - 1] for i in range(n + 1)]
+    lo, hi = d.support()
+    ys = np.linspace(lo, hi, 2001)
+    pdf, cdf = d.pdf(ys), d.cdf(ys)
+    few = ys[::10].tolist()
+    np.testing.assert_allclose(pdf[::10], [n * dd_recurrence(levels, y, False) for y in few],
+                               rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(cdf[::10], [dd_recurrence(levels, y, True) for y in few],
+                               rtol=1e-13, atol=0.0)
+    m1 = integrate.simpson(ys * pdf, x=ys)
+    m2 = integrate.simpson(ys * ys * pdf, x=ys)
+    assert m1 == pytest.approx(closed_form_mean(g), rel=1e-11)
+    assert m2 == pytest.approx(closed_form_second_moment(g), rel=1e-11)
+
+
+def test_nan_shift_gives_nan(ref_capacity):
+    d = UniformChoquetDist(ref_capacity)
+    for f in (d.pdf, d.cdf, d._cdf_raw):
+        assert math.isnan(f(math.nan))
+        out = f(np.array([0.2, math.nan, 0.7]))
+        assert np.isnan(out[1]) and not np.isnan(out[[0, 2]]).any()
 
 
 def test_pdf_integrates_to_one(ref_capacity):

@@ -10,12 +10,11 @@ Carlo oracle (:mod:`.montecarlo`).
 from .capacity import (CapacityCheck, CapacityFormatError, Chain, SetFunction,
                        chain_table, check_capacity, choquet, choquet_values,
                        enumerate_chains, game_from_dict, game_to_dict,
-                       load_capacity, make_game, orness, random_capacity,
-                       save_capacity)
+                       load_capacity, make_game, random_capacity, save_capacity)
 from .divdiff import bspline, tp_minus_dd, tp_plus_dd
 from .exponential import (ExponentialChoquetDist, RegularityError, exp_moments,
                           is_regular)
-from .moments import DistributionReport, moments_report, second_raw_moment
+from .moments import DistributionReport, moments_report, orness, second_raw_moment
 from .moments import mean as choquet_mean
 from .montecarlo import MCReport, ks_statistic, sample, sample_values
 from .asymptotic import (MixtureApprox, WeightFunction, alpha, beta2,

@@ -265,21 +265,6 @@ def choquet_values(g: SetFunction, x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", weights, np.take_along_axis(xa, order, axis=1))
 
 
-def orness(g: SetFunction) -> float:
-    """Location of the aggregation between minimum (0) and maximum (1).
-
-    Computed as ((n+1) E - 1)/(n - 1) where E is the exact mean of the
-    integral under standard-uniform inputs, an affine rescaling that sends
-    the minimum to 0, the arithmetic mean to 1/2 and the maximum to 1.
-    """
-    if g.n < 2:
-        raise ValueError("orness needs n >= 2")
-    require_capacity(g, "orness")
-    lev = g.level_sums()
-    s = sum(lev[t] / math.comb(g.n, t) for t in range(1, g.n + 1))
-    return (s - 1.0) / (g.n - 1.0)
-
-
 def random_capacity(n: int, rng: np.random.Generator) -> SetFunction:
     """Random capacity: iid uniform scores forced monotone by running maxima
     over the subset lattice, then normalized to nu(N) = 1."""

@@ -17,10 +17,9 @@ import numpy as np
 
 from .asymptotic import (WeightFunction, alpha, beta2, mixture_approx,
                          mixture_pdf, power_weight_game)
-from .capacity import (CapacityFormatError, check_capacity, load_capacity,
-                       orness)
+from .capacity import CapacityFormatError, check_capacity, load_capacity
 from .exponential import ExponentialChoquetDist, RegularityError
-from .moments import moments_report
+from .moments import moments_report, orness
 from .osmoments import LAWS, law_for, provider_for
 from .montecarlo import sample
 from .uniform import UniformChoquetDist

@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import SetFunction, inverse_binomials, ranked_zeta, subset_sizes
-from .osmoments import OrderStats
+from .capacity import (SetFunction, inverse_binomials, ranked_zeta, require_capacity,
+                       subset_sizes)
+from .osmoments import OrderStats, UniformOrderStats
 
 
 @dataclass
@@ -71,6 +72,19 @@ def second_raw_moment(g: SetFunction, stats: OrderStats) -> float:
     inv = inverse_binomials(n)[1:, 1:]
     coef = (2.0 * nested_pair_level_sums(g)[1:, 1:] + np.diag(sq[1:])) * inv * inv[:, -1]
     return float(np.sum(coef * d2))
+
+
+def orness(g: SetFunction) -> float:
+    """Location of the aggregation between minimum (0) and maximum (1).
+
+    Computed as ((n+1) E - 1)/(n - 1) where E is the exact mean of the
+    integral under standard-uniform inputs, an affine rescaling that sends
+    the minimum to 0, the arithmetic mean to 1/2 and the maximum to 1.
+    """
+    if g.n < 2:
+        raise ValueError("orness needs n >= 2")
+    require_capacity(g, "orness")
+    return ((g.n + 1) * mean(g, UniformOrderStats(g.n)) - 1.0) / (g.n - 1.0)
 
 
 def moments_report(g: SetFunction, stats: OrderStats) -> DistributionReport:

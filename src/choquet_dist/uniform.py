@@ -11,29 +11,39 @@ over the rows of :func:`~choquet_dist.capacity.chain_table`, summed by one call
 of :func:`~choquet_dist.divdiff.tp_dd_sum`.  The pdf is an equal-weight mixture
 of n! B-spline densities, or of one for a symmetric game (an OWA function),
 whose orderings share one chain.  Raw moments of any order come from a lattice
-sum over nested subset chains; r = 1, 2 also have closed forms to check it.
+sum over nested subset chains and need no chain table; the closed forms for
+r = 1, 2 that check it are the spacing route of :mod:`~choquet_dist.moments`
+on the exact uniform order-statistic record.
 """
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .capacity import (SetFunction, chain_table, inverse_binomials, ranked_zeta,
                        subset_sizes)
 from .divdiff import tp_dd_sum
+from .moments import mean, moments_report, second_raw_moment
+from .osmoments import UniformOrderStats
 
 
 class UniformChoquetDist:
-    """Distribution object caching the chain table of a game as arrays.
+    """Distribution object of a game; the chain table is built on first use.
 
-    Row k of ``sigmas`` is an ordering and row k of ``knots`` its chain values
-    nu_0^sigma .. nu_n^sigma (see :func:`~choquet_dist.capacity.chain_table`).
+    Row k of ``knots`` holds the chain values nu_0^sigma .. nu_n^sigma of one
+    ordering (see :func:`~choquet_dist.capacity.chain_table`).  Only ``pdf``,
+    ``cdf`` and ``knot_values`` read it; ``raw_moment`` and ``support`` read
+    the game's values alone, so they take any n.
     """
 
     def __init__(self, game: SetFunction):
         self.game = game
-        self.sigmas, self.knots = chain_table(game)
+
+    @cached_property
+    def knots(self) -> np.ndarray:
+        return chain_table(self.game)[1]
 
     def support(self) -> tuple[float, float]:
         vals = self.game.values
@@ -77,27 +87,14 @@ class UniformChoquetDist:
 
 
 def closed_form_mean(g: SetFunction) -> float:
-    """E[Y] = (1/(n+1)) sum_T nu(T)/C(n,|T|)."""
-    lev = g.level_sums()
-    return sum(lev[t] / math.comb(g.n, t) for t in range(1, g.n + 1)) / (g.n + 1)
+    """E[Y] under uniform inputs: the spacing route on the exact record."""
+    return mean(g, UniformOrderStats(g.n))
 
 
 def closed_form_second_moment(g: SetFunction) -> float:
-    """E[Y^2] = 2/((n+1)(n+2)) sum_{T1 subset-eq T2} nu(T1)nu(T2)
-    / (C(|T2|,|T1|) C(n,|T2|))."""
-    from .moments import nested_pair_level_sums
-
-    n = g.n
-    P = nested_pair_level_sums(g)
-    total = 0.0
-    for s in range(1, n):
-        for t in range(s + 1, n + 1):
-            total += P[s, t] / (math.comb(t, s) * math.comb(n, t))
-    sq = np.bincount(subset_sizes(n), weights=g.values**2, minlength=n + 1)
-    total += sum(sq[t] / math.comb(n, t) for t in range(1, n + 1))
-    return 2.0 * total / ((n + 1) * (n + 2))
+    """E[Y^2] under uniform inputs: the spacing route on the exact record."""
+    return second_raw_moment(g, UniformOrderStats(g.n))
 
 
 def closed_form_sd(g: SetFunction) -> float:
-    m1 = closed_form_mean(g)
-    return math.sqrt(max(closed_form_second_moment(g) - m1 * m1, 0.0))
+    return moments_report(g, UniformOrderStats(g.n)).sd

@@ -10,6 +10,7 @@ import math
 import numpy as np
 from scipy import integrate, special, stats
 
+from choquet_dist.capacity import chain_table
 from choquet_dist.exponential import C_DISTINCT_RTOL, RegularityError
 
 
@@ -45,19 +46,27 @@ def normal_os_mean_quad(i: int, n: int) -> float:
 
 
 def normal_os_product_quad(i: int, j: int, n: int) -> float:
-    """E[X_{i:n} X_{j:n}] for i <= j, standard normal, by quadrature."""
+    """E[X_{i:n} X_{j:n}] for i <= j, standard normal, by quadrature.
+
+    For i < j the factor (F(y) - F(x))^(j-i-1) of the joint density is
+    expanded binomially, so each term is a cumulative integral in x times a
+    function of y, integrated once more in y: composite Simpson on one fixed
+    grid of |x| <= 9, vectorized throughout.
+    """
     if i == j:
         f = lambda x: x * x * os_density(i, n, x, stats.norm.cdf, stats.norm.pdf)
         return integrate.quad(f, -9, 9, limit=200, epsabs=1e-11)[0]
     c = math.factorial(n) / (math.factorial(i - 1) * math.factorial(j - i - 1)
                              * math.factorial(n - j))
-
-    def joint(y, x):  # x < y
-        Fx, Fy = stats.norm.cdf(x), stats.norm.cdf(y)
-        return (x * y * c * Fx ** (i - 1) * (Fy - Fx) ** (j - i - 1)
-                * (1.0 - Fy) ** (n - j) * stats.norm.pdf(x) * stats.norm.pdf(y))
-
-    return integrate.dblquad(joint, -9, 9, lambda x: x, 9, epsabs=1e-9)[0]
+    x = np.linspace(-9.0, 9.0, 8001)
+    F, f = stats.norm.cdf(x), stats.norm.pdf(x)
+    m = j - i - 1
+    total = 0.0
+    for k in range(m + 1):
+        lower = integrate.cumulative_simpson(x * F ** (i - 1 + k) * f, x=x, initial=0.0)
+        upper = x * F ** (m - k) * (1.0 - F) ** (n - j) * f
+        total += math.comb(m, k) * (-1) ** k * integrate.simpson(upper * lower, x=x)
+    return c * total
 
 
 def random_distinct_knots(rng, n: int, min_gap: float = 1e-3) -> np.ndarray:
@@ -229,12 +238,13 @@ def tp_dd_distinct(knots, y: float, variant: str = "plus", degree=None) -> float
 
 
 def expect_gn(dist, f) -> float:
-    """Sum over the chains of a UniformChoquetDist of the divided difference
-    of f at the chain knots; equals E[f^(n)(Y)] when every chain has distinct
-    knots (f is the order-n antiderivative of the function whose expectation
-    is wanted, and each ordering contributes n! times its region's share)."""
+    """Sum over the chain table of a UniformChoquetDist's game of the divided
+    difference of f at the chain knots; equals E[f^(n)(Y)] when every chain
+    has distinct knots (f is the order-n antiderivative of the function whose
+    expectation is wanted, and each ordering contributes n! times its
+    region's share)."""
     total = 0.0
-    for sigma, knots in zip(dist.sigmas, dist.knots):
+    for sigma, knots in zip(*chain_table(dist.game)):
         if np.min(np.diff(np.sort(knots))) <= 1e-12:
             raise ValueError(f"chain of sigma={tuple(sigma)} has repeated values")
         total += dd_generic(f, knots)

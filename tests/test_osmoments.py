@@ -172,10 +172,15 @@ def test_series_order3_not_worse_than_order2():
 
 
 def test_series_product_order3_closer_on_pairs():
+    # the oracle itself against the exact normal n = 3 values, with a = sqrt(3)/pi
+    a = math.sqrt(3) / math.pi
+    exact = {(1, 1): 1 + a / 2, (1, 2): a / 2, (1, 3): -a, (2, 2): 1 - a,
+             (2, 3): a / 2, (3, 3): 1 + a / 2}
     qm = normal_quantile_model()
     n = 3
-    for (i, j) in [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]:
+    for (i, j), value in exact.items():
         want = normal_os_product_quad(i, j, n)
+        assert want == pytest.approx(value, rel=0, abs=1e-9), (i, j)
         e2 = abs(dj_product(qm, i, j, n, 2) - want)
         e3 = abs(dj_product(qm, i, j, n, 3) - want)
         assert e3 < e2

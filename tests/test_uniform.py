@@ -5,8 +5,10 @@ import pytest
 from scipy import integrate
 
 from choquet_dist import (SetFunction, UniformChoquetDist, UniformOrderStats,
-                          bspline, closed_form_mean, closed_form_second_moment,
-                          make_game, power_weight_game, random_capacity)
+                          bspline, chain_table, closed_form_mean, closed_form_sd,
+                          closed_form_second_moment, make_game, moments_report,
+                          power_weight_game, random_capacity, uniform)
+from choquet_dist.capacity import subset_sizes
 from choquet_dist.moments import mean as general_mean
 from choquet_dist.moments import second_raw_moment
 from choquet_dist.montecarlo import ks_statistic, sample_values
@@ -152,16 +154,55 @@ def test_raw_moment_matches_level_enumeration(rng):
                     (kind, n, r)
 
 
-def test_raw_moment_max_and_min_capacities_high_order():
+def test_raw_moment_max_and_min_capacities_high_order(monkeypatch):
     # Y is the maximum (resp. minimum) of n uniforms: E[Y^r] = n/(n+r)
-    # (resp. 1/C(n+r, r)); (r+1)^n level maps would number 11^8 at r = 10
-    n = 8
-    d_max = UniformChoquetDist(make_game(n, {s: 1.0 for s in _all_nonempty(n)}))
-    d_min = UniformChoquetDist(make_game(n, {s: float(len(s) == n)
-                                             for s in _all_nonempty(n)}))
-    for r in range(1, 11):
-        assert d_max.raw_moment(r) == pytest.approx(n / (n + r), rel=1e-12)
-        assert d_min.raw_moment(r) == pytest.approx(1 / math.comb(n + r, r), rel=1e-12)
+    # (resp. 1/C(n+r, r)); the dictator nu(T) = [1 in T] is Y = U_1, with
+    # E[Y^r] = 1/(r+1).  (r+1)^n level maps would number 11^8 at r = 10, and
+    # the dictator is not symmetric, so its chain table is refused above the
+    # cap: no step may build it.
+    def refuse(g):
+        raise AssertionError("raw moments must not build the chain table")
+
+    monkeypatch.setattr(uniform, "chain_table", refuse)
+    for n, r_max in ((8, 10), (12, 6), (14, 6)):
+        sizes = subset_sizes(n)
+        cases = {"max": (sizes > 0, lambda r: n / (n + r)),
+                 "min": (sizes == n, lambda r: 1 / math.comb(n + r, r)),
+                 "dictator": (np.arange(1 << n) & 1, lambda r: 1 / (r + 1))}
+        for kind, (vals, want) in cases.items():
+            d = UniformChoquetDist(SetFunction(n, vals.astype(float)))
+            assert d.support() == (0.0, 1.0), (kind, n)
+            for r in range(1, r_max + 1):
+                assert d.raw_moment(r) == pytest.approx(want(r), rel=1e-12), (kind, n, r)
+
+
+def test_raw_moment_additive_above_the_cap(rng):
+    # a weighted mean Y = sum w_i U_i: E[Y] = sum w / 2 and
+    # E[Y^2] = (sum w)^2 / 4 + sum w^2 / 12
+    n = 12
+    w = rng.random(n)
+    vals = (np.arange(1 << n)[:, None] >> np.arange(n) & 1) @ w
+    d = UniformChoquetDist(SetFunction(n, vals))
+    assert d.raw_moment(1) == pytest.approx(w.sum() / 2, rel=1e-12)
+    assert d.raw_moment(2) == pytest.approx(w.sum() ** 2 / 4 + w @ w / 12, rel=1e-12)
+
+
+def test_chain_table_built_once_on_first_use(monkeypatch, ref_capacity):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return chain_table(g)
+
+    monkeypatch.setattr(uniform, "chain_table", counted)
+    d = UniformChoquetDist(ref_capacity)
+    d.raw_moment(2)
+    assert calls == []
+    d.pdf(0.3)
+    d.cdf(np.linspace(0, 1, 5))
+    d.knot_values()
+    d.pdf(0.7)
+    assert calls == [ref_capacity]
 
 
 def test_raw_moment_first_equals_pdf_integral(ref_capacity):
@@ -188,6 +229,10 @@ def test_general_moments_agree_with_lattice_sums(rng):
         prov = UniformOrderStats(n)
         assert general_mean(g, prov) == pytest.approx(d.raw_moment(1), abs=1e-10)
         assert second_raw_moment(g, prov) == pytest.approx(d.raw_moment(2), abs=1e-10)
+        # the closed forms are these very calls on the exact uniform record
+        assert closed_form_mean(g) == general_mean(g, prov)
+        assert closed_form_second_moment(g) == second_raw_moment(g, prov)
+        assert closed_form_sd(g) == moments_report(g, prov).sd
 
 
 def test_raw_moment_validation(ref_capacity):

@@ -31,6 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .capacity import SetFunction, chain_table, subset_sizes
+from .moments import _spacings
 from .normal import norm_cdf, norm_pdf
 from .osmoments import OrderStats, QuantileModel
 
@@ -190,17 +191,14 @@ class MixtureApprox:
 
 
 def mixture_approx(g: SetFunction, stats: OrderStats) -> MixtureApprox:
-    """Per-ordering normal components from exact or series moments.
-
-    Component k is sum_i p_i X_{n-i+1:n} with the weights p of chain k of
-    :func:`~choquet_dist.capacity.chain_table` (only the identity chain for a
-    symmetric game), so with the weight rows reversed into order-statistic
-    order its mean and second moment contract the record's means and products.
-    """
-    W = np.ascontiguousarray(np.diff(chain_table(g)[1])[:, ::-1])
-    means = W @ stats.means
-    second = np.einsum("ki,ij,kj->k", W, stats.products, W)
-    return MixtureApprox(np.full(len(W), 1.0 / len(W)), means, second - means * means)
+    """Per-ordering normal components: component k is sum_t nu_t D_t over
+    the spacings of :mod:`.moments` and the chain values nu_1..nu_n of row k
+    of :func:`~choquet_dist.capacity.chain_table` (only the identity chain for
+    a symmetric game), with mean nu.d and variance nu'(S - dd')nu."""
+    d, S = _spacings(stats)
+    nu = chain_table(g)[1][:, 1:]
+    variances = np.einsum("ks,st,kt->k", nu, S - np.outer(d, d), nu)
+    return MixtureApprox(np.full(len(nu), 1.0 / len(nu)), nu @ d, variances)
 
 
 def mixture_pdf(m: MixtureApprox, y):

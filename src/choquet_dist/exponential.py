@@ -96,6 +96,8 @@ class ExponentialChoquetDist:
         inverse = inverse.ravel()
         by_scale = np.split(w.ravel()[np.argsort(inverse)], np.cumsum(np.bincount(inverse))[:-1])
         self.weights = np.array([math.fsum(part) for part in by_scale]) / len(c)
+        # 1 for a single scale; the pdf and cdf lose about eps times it
+        self.cancellation = float(np.abs(self.weights) @ self.scales)
 
     def pdf(self, y):
         ya = np.asarray(y, dtype=float)

@@ -1,17 +1,15 @@
-"""First two raw moments of the Choquet integral for an arbitrary input law.
+"""First two moments of the Choquet integral for an arbitrary input law.
 
-Everything runs through expectations of order-statistic spacings
-D_t = X_{n-t+1:n} - X_{n-t:n} (with the convention X_{0:n} = 0):
+Over a uniformly random ordering, independent of the inputs, the integral is
+Y = sum_t nu(T_t) D_t, with T_t the set of the t largest inputs and
+D_t = X_{n-t+1:n} - X_{n-t:n} (X_{0:n} = 0).  The law's spacing record
+d = E[D], S = E[D D'] (:func:`_spacings`) and the game's chain record, the
+level means a_t = E nu(T_t) and the covariance K of the nu(T_t)
+(:func:`_chain_record`), give
 
-    E[Y]   = sum_{T}  nu(T) / C(n,|T|) * E[D_{|T|}]
-    E[Y^2] = sum_{T1 strict subset T2} 2 nu(T1) nu(T2)
-                 / (C(|T2|,|T1|) C(n,|T2|)) * E[D_{|T1|} D_{|T2|}]
-             + sum_{T} nu(T)^2 / C(n,|T|) * E[D_{|T|}^2]
+    E[Y] = a.d,   E[Y^2] = <K, S> + a'Sa,   Var[Y] = <K, S> + a'(S - dd')a,
 
-The subset sums only involve nu through per-cardinality aggregates, so they
-are grouped by (|T1|, |T2|) once and contracted with the spacing moments,
-which are first and second differences of the order-statistic record
-(exact uniform/exponential, or series).
+a variance of two non-negative terms, free of the m2 - m1^2 cancellation.
 """
 from __future__ import annotations
 
@@ -37,11 +35,10 @@ class DistributionReport:
 
 def _spacings(stats: OrderStats) -> tuple[np.ndarray, np.ndarray]:
     """E[D_t] and E[D_s D_t] for s, t = 1..n (index t-1): differences of the
-    order-statistic moments padded with X_{0:n} = 0, read from the top."""
-    n = stats.n
-    mu = np.concatenate([[0.0], stats.means])
-    M = np.zeros((n + 1, n + 1))
-    M[1:, 1:] = stats.products
+    order-statistic moments padded with X_{0:n} = 0, read from the top.  The
+    one reader of an order-statistic record's arrays."""
+    mu = np.append(0.0, stats.means)
+    M = np.pad(stats.products, ((1, 0), (1, 0)))
     return np.diff(mu)[::-1], np.diff(np.diff(M, axis=0), axis=1)[::-1, ::-1]
 
 
@@ -57,21 +54,34 @@ def nested_pair_level_sums(g: SetFunction) -> np.ndarray:
     return np.triu(P, k=1)
 
 
+def _level_means(g: SetFunction) -> np.ndarray:
+    """a[t-1] = E nu(T_t), the mean of nu over the t-subsets, t = 1..n."""
+    return (g.level_sums() * inverse_binomials(g.n)[:, g.n])[1:]
+
+
+def _chain_record(g: SetFunction) -> tuple[np.ndarray, np.ndarray]:
+    """The level means a and the covariance K[s-1, t-1] of nu(T_s), nu(T_t):
+    the nested-pair sums of h(T) = nu(T) - a_|T|, each pair T_s < T_t weighted
+    by its probability 1/(C(t, s) C(n, t)), with the squares of h on the diagonal."""
+    n, sizes, inv = g.n, subset_sizes(g.n), inverse_binomials(g.n)
+    a = _level_means(g)
+    h = SetFunction(n, g.values - np.append(0.0, a)[sizes])
+    sq = np.bincount(sizes, weights=h.values**2, minlength=n + 1)
+    upper = (nested_pair_level_sums(h) + np.diag(sq / 2.0))[1:, 1:] * inv[1:, 1:] * inv[1:, n]
+    return a, upper + upper.T
+
+
 def mean(g: SetFunction, stats: OrderStats) -> float:
-    """E[Y] for the input law of the order-statistic record."""
-    d1, _ = _spacings(stats)
-    return float(g.level_sums()[1:] * inverse_binomials(g.n)[1:, g.n] @ d1)
+    """E[Y] = a.d for the input law of the order-statistic record."""
+    d, _ = _spacings(stats)
+    return float(_level_means(g) @ d)
 
 
 def second_raw_moment(g: SetFunction, stats: OrderStats) -> float:
-    """E[Y^2]: strict nested pairs (factor 2) plus the diagonal, each pair
-    (s, t) weighted by 1/(C(t, s) C(n, t))."""
-    n = g.n
-    _, d2 = _spacings(stats)
-    sq = np.bincount(subset_sizes(n), weights=g.values**2, minlength=n + 1)
-    inv = inverse_binomials(n)[1:, 1:]
-    coef = (2.0 * nested_pair_level_sums(g)[1:, 1:] + np.diag(sq[1:])) * inv * inv[:, -1]
-    return float(np.sum(coef * d2))
+    """E[Y^2] = <K, S> + a'Sa."""
+    _, S = _spacings(stats)
+    a, K = _chain_record(g)
+    return float(np.sum(K * S) + a @ S @ a)
 
 
 def orness(g: SetFunction) -> float:
@@ -88,8 +98,9 @@ def orness(g: SetFunction) -> float:
 
 
 def moments_report(g: SetFunction, stats: OrderStats) -> DistributionReport:
-    m1 = mean(g, stats)
-    m2 = second_raw_moment(g, stats)
-    var = m2 - m1 * m1
-    return DistributionReport(law=stats.law, mean=m1,
+    """Mean a.d and variance <K, S> + a'(S - dd')a under one law."""
+    d, S = _spacings(stats)
+    a, K = _chain_record(g)
+    var = float(np.sum(K * S) + a @ (S - np.outer(d, d)) @ a)
+    return DistributionReport(law=stats.law, mean=float(a @ d),
                               variance=var, sd=math.sqrt(max(var, 0.0)))

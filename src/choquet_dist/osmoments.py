@@ -1,18 +1,16 @@
 """First and second (product) moments of order statistics for the input laws.
 
 Exact closed forms are available for the standard uniform and standard
-exponential laws.  Any other law enters through its quantile function G and
-derivatives:  writing X_{i:n} = G(U_{i:n}) and Taylor-expanding G around
+exponential laws.  Any other law enters through the Taylor terms of its
+quantile function G:  writing X_{i:n} = G(U_{i:n}) and Taylor-expanding G around
 r_i = i/(n+1) gives the David-Johnson series, whose terms are grouped by
 powers of 1/(n+2).  The order-(n+2)^-2 truncation is the default; the
-order-(n+2)^-3 terms are included behind the ``order=3`` flag.  A uniform
-quantile model (identity G) collapses every series to the exact uniform
-values, which is used as a structural test elsewhere.
+order-(n+2)^-3 terms are included behind the ``order=3`` flag.
 
 Every moment function broadcasts over arrays of 1-based indices.  An
 ``OrderStats`` record tabulates them once per (law, n): the mean vector
-E[X_{i:n}] and the symmetric product matrix E[X_{i:n} X_{j:n}], which the
-moment and mixture code contract as arrays.
+E[X_{i:n}] and the symmetric product matrix E[X_{i:n} X_{j:n}], which
+:func:`~choquet_dist.moments._spacings` alone reads.
 
 ``LAWS`` is the one registry of input laws: each name maps to its quantile
 model and, for the uniform and exponential laws, the exact record builder.
@@ -81,71 +79,63 @@ def exp_product(i, j, n: int):
 # quantile models
 # ---------------------------------------------------------------------------
 
+def _taylor(terms: Callable) -> Callable:
+    """``taylor(u, k)`` of a law whose terms(u) lists G(u), G'(u), .., G^(6)(u)."""
+    def taylor(u, k: int) -> list:
+        if not 0 <= k <= 6:
+            raise ValueError(f"Taylor order {k} not available")
+        return terms(u)[:k + 1]
+    return taylor
+
+
 @dataclass(frozen=True)
 class QuantileModel:
-    """An input law by its quantile G = F^{-1} on (0,1), with derivatives up
-    to order 6, and by its cdf F and density f on the real line.
-
-    G and its derivatives feed the David-Johnson series; F, f and
-    ``support`` feed the limit functionals, which integrate in x = G(u).
+    """An input law by its quantile G = F^{-1} on (0,1), whose Taylor terms
+    ``taylor(u, k)`` = [G(u), G'(u), .., G^(k)(u)], k <= 6, come from one
+    evaluation of G and feed the David-Johnson series, and by its cdf F and
+    density f on the real line, which feed the limit functionals in x = G(u).
     ``support`` is the law's support with each infinite end cut where the
     tail mass beyond it is below ~1e-17.  All callables take arrays.
     """
 
     name: str
     quantile: Callable[[float], float]
-    derivatives: tuple
+    taylor: Callable
     cdf: Callable
     pdf: Callable
     support: tuple[float, float]
 
-    def deriv(self, u: float, k: int) -> float:
-        if not 1 <= k <= len(self.derivatives):
-            raise ValueError(f"derivative order {k} not available for {self.name}")
-        return self.derivatives[k - 1](u)
-
 
 def uniform_quantile_model() -> QuantileModel:
-    one = lambda u: 1.0
-    zero = lambda u: 0.0
-    return QuantileModel("uniform", lambda u: u, (one, zero, zero, zero, zero, zero),
+    return QuantileModel("uniform", lambda u: u, _taylor(lambda u: [u, 1.0] + [0.0] * 5),
                          cdf=lambda x: x, pdf=np.ones_like, support=(0.0, 1.0))
 
 
 def exponential_quantile_model() -> QuantileModel:
-    """G(u) = -log(1-u); the k-th derivative is (k-1)!/(1-u)^k."""
-    derivs = tuple((lambda k: lambda u: math.factorial(k - 1) / (1.0 - u) ** k)(k)
-                   for k in range(1, 7))
-    return QuantileModel("exponential", lambda u: -np.log1p(-u), derivs,
+    """G(u) = -log(1-u) and G^(k)(u) = (k-1)!/(1-u)^k."""
+    G = lambda u: -np.log1p(-u)
+    terms = lambda u: [G(u)] + [math.factorial(k - 1) / (1.0 - u) ** k for k in range(1, 7)]
+    return QuantileModel("exponential", G, _taylor(terms),
                          cdf=lambda x: -np.expm1(-x), pdf=lambda x: np.exp(-x),
                          support=(0.0, 40.0))
 
 
 def normal_quantile_model() -> QuantileModel:
-    """Standard normal quantile with closed-form derivatives.
+    """Standard normal quantile with its Taylor terms in closed form.
 
     With f the standard normal density and G the quantile, composition gives
     G' = 1/(f o G), G'' = G/(f o G)^2, and onward up to order six with the
     polynomial factors 1+2G^2, G(7+6G^2), 7+46G^2+24G^4, G(127+326G^2+120G^4).
     """
-    def d(k):
-        def dk(u):
-            g = norm_ppf(u)
-            f = norm_pdf(g)
-            if k == 1:
-                return 1.0 / f
-            if k == 2:
-                return g / f**2
-            if k == 3:
-                return (1.0 + 2.0 * g * g) / f**3
-            if k == 4:
-                return g * (7.0 + 6.0 * g * g) / f**4
-            if k == 5:
-                return (7.0 + g * g * (46.0 + 24.0 * g * g)) / f**5
-            return g * (127.0 + g * g * (326.0 + 120.0 * g * g)) / f**6
-        return dk
+    def terms(u):
+        g = norm_ppf(u)
+        f = norm_pdf(g)
+        return [g, 1.0 / f, g / f**2, (1.0 + 2.0 * g * g) / f**3,
+                g * (7.0 + 6.0 * g * g) / f**4,
+                (7.0 + g * g * (46.0 + 24.0 * g * g)) / f**5,
+                g * (127.0 + g * g * (326.0 + 120.0 * g * g)) / f**6]
 
-    return QuantileModel("normal", norm_ppf, tuple(d(k) for k in range(1, 7)),
+    return QuantileModel("normal", norm_ppf, _taylor(terms),
                          cdf=norm_cdf, pdf=norm_pdf, support=(-9.0, 9.0))
 
 
@@ -166,9 +156,8 @@ def dj_mean(qm: QuantileModel, i, n: int, order: int = 2):
     r = i / (n + 1)
     s = 1.0 - r
     d = s - r
-    G = qm.quantile(r)
-    g = {k: qm.deriv(r, k) for k in range(2, 5 if order == 2 else 7)}
-    val = (G + r * s / (2 * m) * g[2]
+    g = qm.taylor(r, 4 if order == 2 else 6)
+    val = (g[0] + r * s / (2 * m) * g[2]
            + r * s / m**2 * (d * g[3] / 3 + r * s * g[4] / 8))
     if order == 3:
         val += r * s / m**3 * (-d * g[3] / 3 + (d * d - r * s) * g[4] / 4
@@ -190,8 +179,7 @@ def dj_product(qm: QuantileModel, i, j, n: int, order: int = 2):
     si, sj = 1.0 - ri, 1.0 - rj
     di, dj = si - ri, sj - rj
     kmax = 4 if order == 2 else 6
-    gi = {0: qm.quantile(ri)} | {k: qm.deriv(ri, k) for k in range(1, kmax + 1)}
-    gj = {0: qm.quantile(rj)} | {k: qm.deriv(rj, k) for k in range(1, kmax + 1)}
+    gi, gj = qm.taylor(ri, kmax), qm.taylor(rj, kmax)
 
     val = (gi[0] * gj[0]
            + ri * sj / m * gi[1] * gj[1]
@@ -292,7 +280,6 @@ class DavidJohnsonOrderStats(OrderStats):
     """Series-approximated moments for a quantile-specified law at a fixed n."""
 
     def __init__(self, qm: QuantileModel, n: int, order: int = 2):
-        _check_order(order)
         self.order = order
         super().__init__(qm.name, n, *_tabulate(
             n, lambda i, n: dj_mean(qm, i, n, order),

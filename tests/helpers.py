@@ -6,6 +6,7 @@ the library code paths it checks.
 """
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate, special, stats
@@ -152,6 +153,28 @@ def brute_nested_pairs(g) -> np.ndarray:
             P[sub.bit_count(), t] += vals[sub] * v2
             sub = (sub - 1) & m2
     return P
+
+
+def exact_uniform_moments(g) -> tuple[Fraction, Fraction]:
+    """E[Y] and Var[Y] under uniform inputs in rational arithmetic, the
+    game's floats taken exactly: the spacings D_t have E[D_t] = 1/(n+1) and
+    E[D_s D_t] = (1 + [s = t])/((n+1)(n+2)), and every nested pair
+    T1 <= T2 is walked by submasks with the weight 1/(C(|T2|,|T1|) C(n,|T2|))."""
+    n = g.n
+    vals = [Fraction(v) for v in g.values.tolist()]
+    first = sum(vals[m] / math.comb(n, m.bit_count()) for m in range(1, 1 << n)) / (n + 1)
+    by_sizes: dict[tuple[int, int], Fraction] = {}
+    for m2 in range(1, 1 << n):
+        sub = m2
+        while sub:
+            key = (sub.bit_count(), m2.bit_count())
+            by_sizes[key] = by_sizes.get(key, 0) + vals[sub] * vals[m2]
+            sub = (sub - 1) & m2
+    # the pair's multiplicity (2 when T1 < T2) times (n+1)(n+2) E[D_s D_t]
+    second = sum(total * (2 if s < t else 1) * (2 if s == t else 1)
+                 / (math.comb(t, s) * math.comb(n, t) * (n + 1) * (n + 2))
+                 for (s, t), total in by_sizes.items())
+    return first, second - first * first
 
 
 def brute_raw_moment(g, r: int) -> float:

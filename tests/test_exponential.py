@@ -92,6 +92,14 @@ def test_pooled_weights_keep_the_mass_under_cancellation():
     assert abs(w @ s - 1.0) <= 64 * np.finfo(float).eps * (np.abs(w) @ s)
 
 
+def test_cancellation_ratio(ref_capacity):
+    for nu in (1.0, 0.5):
+        assert ExponentialChoquetDist(make_game(1, {(1,): nu})).cancellation == 1.0
+    dist = ExponentialChoquetDist(ref_capacity)
+    assert dist.cancellation >= 1.0
+    assert dist.cancellation == float(np.abs(dist.weights) @ dist.scales)
+
+
 def test_cdf_limits(ref_capacity):
     dist = ExponentialChoquetDist(ref_capacity)
     assert dist.cdf(0.0) == 0.0

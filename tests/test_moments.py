@@ -11,7 +11,8 @@ from choquet_dist.capacity import subset_sizes
 from choquet_dist.moments import mean, nested_pair_level_sums, second_raw_moment
 from choquet_dist.montecarlo import sample_values
 
-from helpers import brute_nested_pairs, game_kinds, spacing_moments
+from helpers import (brute_nested_pairs, exact_uniform_moments, game_kinds,
+                     spacing_moments)
 
 
 def _all_nonempty(n):
@@ -81,7 +82,7 @@ def test_variance_nonnegative_random_games(rng):
 
 
 def _second_moment_multiplicity_form(g, prov):
-    """Directнад nested-pair evaluation with the multiplicity coefficients
+    """Direct nested-pair evaluation with the multiplicity coefficients
     2/([T]_0! ... [T]_n!) over non-strict nestings; test oracle."""
     n = g.n
     sizes = subset_sizes(n)
@@ -140,6 +141,17 @@ def test_moments_match_monte_carlo(rng):
             ys = sample_values(g, law, 200_000, seed=int(rng.integers(2**31)))
             se = ys.std(ddof=1) / math.sqrt(len(ys))
             assert abs(mean(g, provider_for(law, 4)) - ys.mean()) < 4 * se
+
+
+def test_uniform_sd_matches_exact_rational_moments():
+    # the variance <K, S> + a'(S - dd')a sums non-negative terms; formed as
+    # m2 - m1^2 the sd missed the rational value by up to 2.2e-14 here
+    for k in range(6):
+        g = random_capacity(9, np.random.default_rng(100 + k))
+        m1, var = exact_uniform_moments(g)
+        rep = moments_report(g, UniformOrderStats(9))
+        assert rep.mean == pytest.approx(float(m1), rel=5e-15, abs=0.0), k
+        assert rep.sd == pytest.approx(math.sqrt(var), rel=5e-15, abs=0.0), k
 
 
 def test_report_fields(ref_capacity):

@@ -8,6 +8,7 @@ from choquet_dist import (DavidJohnsonOrderStats, ExponentialOrderStats,
                           OrderStats, UniformOrderStats, dj_mean, dj_product,
                           exponential_quantile_model, normal_quantile_model,
                           uniform_quantile_model)
+from choquet_dist import osmoments
 from choquet_dist.normal import norm_ppf
 from choquet_dist.osmoments import (LAWS, exp_mean, exp_product, law_for,
                                     provider_for, uniform_mean,
@@ -37,29 +38,58 @@ def test_norm_ppf_domain():
 def test_normal_quantile_model_center_values():
     qm = normal_quantile_model()
     assert qm.quantile(0.5) == 0.0
-    assert qm.deriv(0.5, 2) == 0.0
-    assert qm.deriv(0.5, 4) == 0.0
-    assert qm.deriv(0.5, 1) == pytest.approx(SQRT_2PI, rel=1e-14)
-    assert qm.deriv(0.5, 3) == pytest.approx(SQRT_2PI**3, rel=1e-13)
+    g = qm.taylor(0.5, 4)
+    assert len(g) == 5 and g[0] == 0.0
+    assert g[2] == 0.0
+    assert g[4] == 0.0
+    assert g[1] == pytest.approx(SQRT_2PI, rel=1e-14)
+    assert g[3] == pytest.approx(SQRT_2PI**3, rel=1e-13)
 
 
 def test_normal_quantile_derivatives_vs_finite_differences():
     qm = normal_quantile_model()
     h = 1e-5
     for u in (0.2, 0.43, 0.71, 0.9):
+        g, up, down = qm.taylor(u, 6), qm.taylor(u + h, 6), qm.taylor(u - h, 6)
+        assert g[0] == qm.quantile(u)
         fd1 = (qm.quantile(u + h) - qm.quantile(u - h)) / (2 * h)
-        assert qm.deriv(u, 1) == pytest.approx(fd1, rel=1e-8)
+        assert g[1] == pytest.approx(fd1, rel=1e-8)
         for k in (1, 2, 3, 4, 5):
-            fd = (qm.deriv(u + h, k) - qm.deriv(u - h, k)) / (2 * h)
-            assert qm.deriv(u, k + 1) == pytest.approx(fd, rel=1e-6)
+            fd = (up[k] - down[k]) / (2 * h)
+            assert g[k + 1] == pytest.approx(fd, rel=1e-6)
 
 
 def test_exponential_quantile_model_derivatives():
     qm = exponential_quantile_model()
     u = 0.37
     assert qm.quantile(u) == pytest.approx(-math.log(1 - u))
+    g = qm.taylor(u, 6)
+    assert g[0] == qm.quantile(u)
     for k in range(1, 7):
-        assert qm.deriv(u, k) == pytest.approx(math.factorial(k - 1) / (1 - u) ** k)
+        assert g[k] == pytest.approx(math.factorial(k - 1) / (1 - u) ** k)
+
+
+def test_taylor_orders_zero_to_six_only():
+    for name in LAWS:
+        qm = law_for(name).quantile_model()
+        assert len(qm.taylor(0.3, 0)) == 1 and len(qm.taylor(0.3, 6)) == 7
+        for k in (-1, 7):
+            with pytest.raises(ValueError, match="Taylor order"):
+                qm.taylor(0.3, k)
+
+
+def test_dj_record_evaluates_the_quantile_once_per_call(monkeypatch):
+    """dj_mean reads one Taylor list and dj_product one per index grid, so a
+    record costs three quantile evaluations, not one per derivative."""
+    calls = []
+
+    def counting(p):
+        calls.append(np.size(p))
+        return norm_ppf(p)
+
+    monkeypatch.setattr(osmoments, "norm_ppf", counting)
+    DavidJohnsonOrderStats(normal_quantile_model(), 12, 3)
+    assert len(calls) <= 3, calls
 
 
 # ---- exact uniform moments ----------------------------------------------
@@ -243,8 +273,9 @@ def test_registry_models_cdf_pdf_support_match_quantile():
         qm = law_for(name).quantile_model()
         x = qm.quantile(u)
         np.testing.assert_allclose(qm.cdf(x), u, rtol=1e-13, err_msg=name)
-        np.testing.assert_allclose(qm.pdf(x) * np.array([qm.deriv(v, 1) for v in u]), 1.0,
-                                   rtol=1e-10, err_msg=name)
+        G, G1 = qm.taylor(u, 1)
+        assert np.array_equal(G, x), name
+        np.testing.assert_allclose(qm.pdf(x) * G1, 1.0, rtol=1e-10, err_msg=name)
         lo, hi = qm.support
         assert lo < x.min() and x.max() < hi
         assert 0.0 <= min(tail_mass[name](lo, hi))

@@ -59,6 +59,16 @@ def test_pdf_n1_is_uniform_density():
     assert d.pdf(1.5) == 0.0
 
 
+def test_pdf_takes_the_left_limit_at_the_top_knot():
+    # chains 0 < 1 = 1 and 0 < 0.5 < 1: the density is 3y below 1/2 and
+    # 2 - y above, and at the top knot y = 1 it keeps the left limit 1
+    d = UniformChoquetDist(make_game(2, {(1,): 1.0, (2,): 0.5, (1, 2): 1.0}))
+    ys = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.0 + 1e-12])
+    np.testing.assert_allclose(d.pdf(ys), [0.0, 0.75, 1.5, 1.25, 1.0, 0.0], rtol=0, atol=1e-14)
+    np.testing.assert_allclose(d.cdf(ys), [0.0, 0.09375, 0.375, 0.71875, 1.0, 1.0],
+                               rtol=0, atol=1e-14)
+
+
 def test_pdf_symmetric_single_bspline():
     g = _symmetric(3)
     d = UniformChoquetDist(g)

@@ -11,7 +11,7 @@ from .capacity import (CapacityCheck, CapacityFormatError, Chain, SetFunction,
                        chain_table, check_capacity, choquet, choquet_values,
                        enumerate_chains, game_from_dict, game_to_dict,
                        load_capacity, make_game, random_capacity, save_capacity)
-from .divdiff import bspline, tp_minus_dd, tp_plus_dd
+from .divdiff import tp_minus_dd, tp_plus_dd
 from .exponential import (ExponentialChoquetDist, RegularityError, exp_moments,
                           is_regular)
 from .moments import DistributionReport, moments_report, orness, second_raw_moment

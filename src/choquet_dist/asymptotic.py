@@ -203,27 +203,25 @@ def mixture_approx(g: SetFunction, stats: OrderStats) -> MixtureApprox:
 
 def mixture_pdf(m: MixtureApprox, y):
     """Density of the normal mixture at y (scalar or array)."""
-    _require_positive_variances(m)
-    ya = np.asarray(y, dtype=float)
-    sd = np.sqrt(m.variances)
-    z = (ya[..., None] - m.means) / sd
-    out = (norm_pdf(z) / sd) @ m.weights
-    return float(out) if ya.ndim == 0 else out
+    return _mixture(m, y, lambda z, sd: norm_pdf(z) / sd)
 
 
 def mixture_cdf(m: MixtureApprox, y):
-    _require_positive_variances(m)
-    ya = np.asarray(y, dtype=float)
-    sd = np.sqrt(m.variances)
-    z = (ya[..., None] - m.means) / sd
-    out = norm_cdf(z) @ m.weights
-    return float(out) if ya.ndim == 0 else out
+    """Distribution function of the normal mixture at y (scalar or array)."""
+    return _mixture(m, y, lambda z, sd: norm_cdf(z))
 
 
-def _require_positive_variances(m: MixtureApprox) -> None:
+def _mixture(m: MixtureApprox, y, kernel):
+    """The weighted sum over the components of kernel(z, sd) at the
+    standardized points z = (y - mean) / sd."""
     if np.any(m.variances <= 0.0):
         raise ValueError("a mixture component has nonpositive variance; "
                          "use the exact distribution instead")
+    ya = np.asarray(y, dtype=float)
+    sd = np.sqrt(m.variances)
+    z = (ya[..., None] - m.means) / sd
+    out = kernel(z, sd) @ m.weights
+    return float(out) if ya.ndim == 0 else out
 
 
 def power_weight_game(n: int, a: float) -> SetFunction:

@@ -176,9 +176,9 @@ def make_game(n: int, values: Mapping) -> SetFunction:
             raise CapacityFormatError(f"the empty set must map to 0, got {val}")
         seen[m] = True
         arr[m] = float(val)
-    missing = [subset_of(m) for m in range(1, 1 << n) if not seen[m]]
+    missing = (np.flatnonzero(~seen[1:]) + 1).tolist()
     if missing:
-        raise CapacityFormatError(f"missing subsets: {missing[:8]}"
+        raise CapacityFormatError(f"missing subsets: {[subset_of(m) for m in missing[:8]]}"
                                   + ("..." if len(missing) > 8 else ""))
     return SetFunction(n, arr)
 

@@ -184,57 +184,54 @@ def build_parser() -> argparse.ArgumentParser:
     def add_grid(sp):
         sp.add_argument("--grid", required=True, help="start:end:steps")
 
-    def add_common(sp):
+    def add_out(sp):
+        sp.add_argument("--out", help="write CSV here instead of stdout")
+
+    def add_dj_order(sp):
         sp.add_argument("--dj-order", type=int, choices=(2, 3), default=2,
                         help="series order for the normal law (default 2)")
-        sp.add_argument("--out", help="write CSV here instead of stdout")
 
     sp = sub.add_parser("validate", help="check game axioms, monotonicity, normalization")
     add_capacity(sp)
+    sp.set_defaults(handler=cmd_validate)
 
     sp = sub.add_parser("moments", help="exact/approximate mean and sd")
-    add_capacity(sp); add_law(sp); add_common(sp)
+    add_capacity(sp); add_law(sp); add_dj_order(sp); add_out(sp)
+    sp.set_defaults(handler=cmd_moments)
 
     for name in ("pdf", "cdf"):
         sp = sub.add_parser(name, help="tabulate density and cdf on a grid (CSV y,pdf,cdf)")
-        add_capacity(sp); add_law(sp); add_grid(sp); add_common(sp)
+        add_capacity(sp); add_law(sp); add_grid(sp); add_out(sp)
+        sp.set_defaults(handler=cmd_pdf)
 
     sp = sub.add_parser("mixture", help="normal-mixture density on a grid (CSV y,mixture_pdf)")
-    add_capacity(sp); add_law(sp); add_grid(sp); add_common(sp)
+    add_capacity(sp); add_law(sp); add_grid(sp); add_dj_order(sp); add_out(sp)
+    sp.set_defaults(handler=cmd_mixture)
 
     sp = sub.add_parser("stigler", help="limit functionals and component stats "
                                         "for the power-weight family")
     sp.add_argument("--a", type=float, required=True, help="weight exponent, > 0")
     sp.add_argument("--n", type=int, required=True, help="number of inputs")
     sp.add_argument("--law", choices=tuple(LAWS), default="uniform")
-    add_common(sp)
+    add_dj_order(sp); add_out(sp)
+    sp.set_defaults(handler=cmd_stigler)
 
     sp = sub.add_parser("sample", help="Monte Carlo run; JSON summary, optional CSV")
     add_capacity(sp); add_law(sp)
     sp.add_argument("--n", type=int, required=True, help="number of samples")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", help="write the sampled values here as CSV")
+    sp.set_defaults(handler=cmd_sample)
 
     sp = sub.add_parser("orness", help="orness diagnostic of a capacity")
     add_capacity(sp)
+    sp.set_defaults(handler=cmd_orness)
     return p
-
-
-_HANDLERS = {
-    "validate": cmd_validate,
-    "moments": cmd_moments,
-    "pdf": cmd_pdf,
-    "cdf": cmd_pdf,
-    "mixture": cmd_mixture,
-    "stigler": cmd_stigler,
-    "sample": cmd_sample,
-    "orness": cmd_orness,
-}
 
 
 def run(args: argparse.Namespace) -> int:
     try:
-        return _HANDLERS[args.command](args)
+        return args.handler(args)
     except CapacityFormatError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return 2

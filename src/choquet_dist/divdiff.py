@@ -1,4 +1,4 @@
-"""Divided differences of truncated power functions, and B-splines.
+"""Divided differences of truncated power functions.
 
 For knots a_0..a_n (order matters nowhere; repeats are allowed) and a shift y,
 the two quantities computed here are the n-th order divided differences of
@@ -35,7 +35,8 @@ def tp_plus_dd(knots: Sequence[float], y):
     """Divided difference of (x - y)_+^(n-1) over the n+1 given knots.
 
     y may be a scalar or an array of shifts.  Returns 0 when y lies outside
-    the closed knot hull.
+    the closed knot hull.  n times it is the normalized B-spline density
+    with these knots.
     """
     return tp_dd_sum(_as_knots(knots)[None], y, minus=False)
 
@@ -110,13 +111,3 @@ def _recurrence(b, c, y, minus: bool):
             A[j] = ((c[j - 1] - y) * A[j] + (y - bk) * A[j - 1]) / (c[j - 1] - bk)
     return A[s]
 
-
-def bspline(knots: Sequence[float], t):
-    """Normalized B-spline density with the given n+1 knots, evaluated at t.
-
-    Nonnegative, supported on the knot hull, and integrating to 1.  t may be
-    a scalar or an array.
-    """
-    a = _as_knots(knots)
-    n = a.size - 1
-    return n * tp_plus_dd(a, t)

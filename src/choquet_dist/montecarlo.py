@@ -29,7 +29,6 @@ class MCReport:
     sd: float
     standard_error: float
     ecdf: np.ndarray  # sorted sample values
-    ks_vs_reference: float | None = None
 
 
 def sample_values(g: SetFunction, law: str, n_samples: int, seed: int) -> np.ndarray:
@@ -42,29 +41,24 @@ def sample_values(g: SetFunction, law: str, n_samples: int, seed: int) -> np.nda
     return choquet_values(g, law_for(law).quantile_model().quantile(u))
 
 
-def sample(g: SetFunction, law: str, n_samples: int, seed: int,
-           reference_cdf: Callable | None = None) -> MCReport:
+def sample(g: SetFunction, law: str, n_samples: int, seed: int) -> MCReport:
     ys = sample_values(g, law, n_samples, seed)
     ys.sort()
     sd = float(np.std(ys, ddof=1))
-    ks = None if reference_cdf is None else ks_statistic(ys, reference_cdf)
     return MCReport(n_samples=n_samples, mean=float(np.mean(ys)), sd=sd,
-                    standard_error=sd / math.sqrt(n_samples), ecdf=ys,
-                    ks_vs_reference=ks)
+                    standard_error=sd / math.sqrt(n_samples), ecdf=ys)
 
 
-def ks_statistic(samples: np.ndarray, reference_cdf: Callable) -> float:
-    """sup_x |ECDF(x) - F(x)| over the sample points, both one-sided gaps."""
+def ks_statistic(samples: np.ndarray, cdf: Callable) -> float:
+    """sup_x |ECDF(x) - F(x)| over the sample points, both one-sided gaps;
+    cdf takes the sorted sample array."""
     xs = np.sort(np.asarray(samples, dtype=float))
     m = xs.size
     if m < 2:
         raise ValueError("need at least 2 samples")
-    try:
-        f = np.asarray(reference_cdf(xs), dtype=float)
-        if f.shape != xs.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        f = np.array([float(reference_cdf(x)) for x in xs])
+    f = np.asarray(cdf(xs), dtype=float)
+    if f.shape != xs.shape:
+        raise ValueError("the cdf must return one value per sample")
     steps = np.arange(1, m + 1) / m
     d_plus = np.max(steps - f)
     d_minus = np.max(f - (steps - 1.0 / m))

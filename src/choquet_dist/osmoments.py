@@ -178,8 +178,10 @@ def dj_product(qm: QuantileModel, i, j, n: int, order: int = 2):
     ri, rj = i / (n + 1), j / (n + 1)
     si, sj = 1.0 - ri, 1.0 - rj
     di, dj = si - ri, sj - rj
-    kmax = 4 if order == 2 else 6
-    gi, gj = qm.taylor(ri, kmax), qm.taylor(rj, kmax)
+    # row a holds G^(a) at the n points k/(n+1); read it at i and at j
+    terms = qm.taylor(np.arange(1, n + 1) / (n + 1), 4 if order == 2 else 6)
+    table = np.array([np.broadcast_to(t, (n,)) for t in terms])
+    gi, gj = table[:, np.asarray(i) - 1], table[:, np.asarray(j) - 1]
 
     val = (gi[0] * gj[0]
            + ri * sj / m * gi[1] * gj[1]

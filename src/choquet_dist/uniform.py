@@ -33,8 +33,8 @@ class UniformChoquetDist:
     """Distribution object of a game; the chain table is built on first use.
 
     Row k of ``knots`` holds the chain values nu_0^sigma .. nu_n^sigma of one
-    ordering (see :func:`~choquet_dist.capacity.chain_table`).  Only ``pdf``,
-    ``cdf`` and ``knot_values`` read it; ``raw_moment`` and ``support`` read
+    ordering (see :func:`~choquet_dist.capacity.chain_table`).  Only ``pdf``
+    and ``cdf`` read it; ``raw_moment``, ``support`` and ``knot_values`` read
     the game's values alone, so they take any n.
     """
 
@@ -50,15 +50,12 @@ class UniformChoquetDist:
         return float(min(vals.min(), 0.0)), float(max(vals.max(), 0.0))
 
     def knot_values(self) -> np.ndarray:
-        """Sorted distinct chain values; the pdf is polynomial between them."""
-        return np.unique(self.knots)
+        """Sorted distinct chain values; the pdf is polynomial between them.
+        Every subset lies on some chain, so these are the game's values."""
+        return np.unique(self.game.values)
 
     def cdf(self, y):
-        """P[Y <= y]; scalar or array argument, clamped into [0, 1]."""
-        return np.clip(self._cdf_raw(y), 0.0, 1.0)
-
-    def _cdf_raw(self, y):
-        # unclamped average over the chains; useful when chasing cancellation
+        """P[Y <= y]; scalar or array argument."""
         return tp_dd_sum(self.knots, y, minus=True) / len(self.knots)
 
     def pdf(self, y):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from choquet_dist import (CapacityFormatError, SetFunction, chain_table,
                           check_capacity, choquet, choquet_values, enumerate_chains,
-                          make_game, orness, power_weight_game, random_capacity)
+                          load_capacity, make_game, orness, power_weight_game,
+                          random_capacity, save_capacity)
 from choquet_dist.capacity import game_from_dict, game_to_dict, n_max
 
 from helpers import brute_choquet, brute_random_capacity, chain_walk, game_kinds
@@ -26,6 +27,8 @@ def test_make_game_reference(ref_capacity):
 def test_make_game_missing_subset():
     with pytest.raises(CapacityFormatError, match="missing"):
         make_game(2, {(1,): 0.3, (2,): 0.4})
+    with pytest.raises(CapacityFormatError, match=r"missing subsets: \[\(2,\)\]$"):
+        make_game(2, {(): 0.0, (1,): 0.3, (1, 2): 1.0})  # enough keys, one is the empty set
     with pytest.raises(CapacityFormatError, match="missing"):
         make_game(40, {})  # refused before 2^40 values are allocated
 
@@ -287,3 +290,10 @@ def test_json_round_trip(ref_capacity):
     assert doc["values"]["1,3"] == 0.8
     g2 = game_from_dict(doc)
     assert np.array_equal(g2.values, ref_capacity.values)
+
+
+def test_file_round_trip_n16(tmp_path):
+    g = random_capacity(16, np.random.default_rng(16))
+    path = tmp_path / "n16.json"
+    save_capacity(g, path)
+    assert np.array_equal(load_capacity(path).values, g.values)

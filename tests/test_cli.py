@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from choquet_dist import (closed_form_mean, closed_form_sd, ks_statistic,
-                          power_weight_game, random_capacity, save_capacity)
+                          moments_report, power_weight_game, random_capacity,
+                          save_capacity)
 from choquet_dist.cli import build_parser, main, parse_grid
 from choquet_dist.capacity import CapacityFormatError
-from choquet_dist.osmoments import LAWS
+from choquet_dist.osmoments import LAWS, provider_for
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 REF = str(DOCS / "example_capacity.json")
@@ -126,6 +127,34 @@ def test_moments_above_enumeration_cap(tmp_path, capsys):
                            "--grid", "0:1:5")
     assert code == 2
     assert "CHOQUET_NMAX" in err
+
+
+def test_moments_of_an_n16_capacity_file(tmp_path, capsys):
+    g = random_capacity(16, np.random.default_rng(16))
+    path = tmp_path / "n16.json"
+    save_capacity(g, path)
+    code, out, _ = run_cli(capsys, "moments", "--law", "uniform", "--capacity", str(path))
+    assert code == 0
+    rep = moments_report(g, provider_for("uniform", 16))
+    assert json.loads(out) == {"mean": float(f"{rep.mean:.12g}"),
+                               "sd": float(f"{rep.sd:.12g}")}
+
+
+@pytest.mark.parametrize("command", ["pdf", "cdf"])
+def test_exact_tables_take_no_series_order(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--law", "uniform", "--capacity", REF, "--grid", "0:1:5",
+              "--dj-order", "3"])
+    assert exc.value.code == 2
+    assert "--dj-order" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [  # moments: test_moments_normal_order3
+    ["mixture", "--law", "normal", "--capacity", REF, "--grid=-3:3:5"],
+    ["stigler", "--law", "normal", "--a", "2", "--n", "5"],
+])
+def test_series_commands_take_the_order(capsys, argv):
+    assert run_cli(capsys, *argv, "--dj-order", "3")[0] == 0
 
 
 def test_symmetric_pdf_above_enumeration_cap(tmp_path, capsys):

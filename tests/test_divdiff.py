@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from choquet_dist import (SetFunction, UniformChoquetDist, bspline, chain_table,
-                          tp_minus_dd, tp_plus_dd)
+from choquet_dist import (SetFunction, UniformChoquetDist, chain_table, tp_minus_dd,
+                          tp_plus_dd)
 from choquet_dist.divdiff import BLOCK, tp_dd_sum
 
 from helpers import (dd_generic, dd_recurrence, game_kinds,
@@ -59,19 +59,21 @@ def test_repeated_knots_fine_for_recurrence():
     assert np.isfinite(val) and val > 0
 
 
+# n times tp_plus_dd over n+1 knots is the normalized B-spline density
+
 def test_bspline_order1_uniform_density():
-    assert bspline((0.0, 1.0), 0.5) == pytest.approx(1.0)
-    assert bspline((0.0, 1.0), 1.5) == 0.0
+    assert tp_plus_dd((0.0, 1.0), 0.5) == pytest.approx(1.0)
+    assert tp_plus_dd((0.0, 1.0), 1.5) == 0.0
 
 
 def test_bspline_hat_peak():
-    assert bspline((0.0, 0.5, 1.0), 0.5) == pytest.approx(2.0)
+    assert 2 * tp_plus_dd((0.0, 0.5, 1.0), 0.5) == pytest.approx(2.0)
 
 
 def test_bspline_integrates_to_one(rng):
     for n in (1, 2, 3, 5):
         knots = np.sort(random_distinct_knots(rng, n))
-        val, _ = integrate.quad(lambda t: bspline(knots, t), knots[0], knots[-1],
+        val, _ = integrate.quad(lambda t: n * tp_plus_dd(knots, t), knots[0], knots[-1],
                                 points=list(knots), limit=200, epsabs=1e-10)
         assert val == pytest.approx(1.0, abs=1e-8)
 
@@ -226,4 +228,4 @@ def test_kernel_shapes_and_zero_d_input(rng):
             got = tp_dd_sum(nu, y, minus)
             assert type(got) is float and got == _row_sums(nu, [0.3], minus)[0]
     d = UniformChoquetDist(SetFunction(3, game_kinds(3, rng)["generic"]))
-    assert type(d.pdf(np.array(0.3))) is float and type(d._cdf_raw(np.float64(0.3))) is float
+    assert type(d.pdf(np.array(0.3))) is float and type(d.cdf(np.float64(0.3))) is float

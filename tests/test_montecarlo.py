@@ -90,19 +90,10 @@ def test_ks_statistic_constant_samples():
     assert ks == pytest.approx(max(0.3, 1 - 0.3))
 
 
-def test_ks_scalar_reference_cdf_supported(ref_capacity):
-    ys = sample_values(ref_capacity, "uniform", 2_000, seed=8)
-    d = UniformChoquetDist(ref_capacity)
-    vec = ks_statistic(ys, d.cdf)
-    scalar_only = ks_statistic(ys, lambda x: d.cdf(float(x)))
-    assert vec == pytest.approx(scalar_only)
-
-
 def test_report_carries_reference_ks(ref_capacity):
     d = UniformChoquetDist(ref_capacity)
-    rep = sample(ref_capacity, "uniform", 20_000, seed=9, reference_cdf=d.cdf)
-    assert rep.ks_vs_reference is not None
-    assert rep.ks_vs_reference < 1.63 / math.sqrt(20_000)
+    rep = sample(ref_capacity, "uniform", 20_000, seed=9)
+    assert ks_statistic(rep.ecdf, d.cdf) < 1.63 / math.sqrt(20_000)
 
 
 def test_normal_law_uses_inverse_cdf(ref_capacity):

@@ -79,8 +79,9 @@ def test_taylor_orders_zero_to_six_only():
 
 
 def test_dj_record_evaluates_the_quantile_once_per_call(monkeypatch):
-    """dj_mean reads one Taylor list and dj_product one per index grid, so a
-    record costs three quantile evaluations, not one per derivative."""
+    """dj_mean and dj_product each read one Taylor list on the n points
+    k/(n+1), so a record costs at most three quantile evaluations, not one
+    per derivative, and 2n elements, not one per index pair."""
     calls = []
 
     def counting(p):
@@ -90,6 +91,7 @@ def test_dj_record_evaluates_the_quantile_once_per_call(monkeypatch):
     monkeypatch.setattr(osmoments, "norm_ppf", counting)
     DavidJohnsonOrderStats(normal_quantile_model(), 12, 3)
     assert len(calls) <= 3, calls
+    assert sum(calls) <= 2 * 12, calls
 
 
 # ---- exact uniform moments ----------------------------------------------

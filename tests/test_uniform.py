@@ -5,9 +5,10 @@ import pytest
 from scipy import integrate
 
 from choquet_dist import (SetFunction, UniformChoquetDist, UniformOrderStats,
-                          bspline, chain_table, closed_form_mean, closed_form_sd,
+                          chain_table, closed_form_mean, closed_form_sd,
                           closed_form_second_moment, make_game, moments_report,
-                          power_weight_game, random_capacity, uniform)
+                          power_weight_game, random_capacity, tp_minus_dd, tp_plus_dd,
+                          uniform)
 from choquet_dist.capacity import subset_sizes
 from choquet_dist.moments import mean as general_mean
 from choquet_dist.moments import second_raw_moment
@@ -74,9 +75,8 @@ def test_pdf_symmetric_single_bspline():
     d = UniformChoquetDist(g)
     knots = [0, 1 / 3, 2 / 3, 1]
     for y in (0.1, 0.4, 0.77):
-        assert d.pdf(y) == pytest.approx(bspline(knots, y), rel=1e-12)
+        assert d.pdf(y) == pytest.approx(3 * tp_plus_dd(knots, y), rel=1e-12)
     # and the cdf collapses to the single-chain divided difference
-    from choquet_dist import tp_minus_dd
     for y in (0.2, 0.5, 0.9):
         assert d.cdf(y) == pytest.approx(tp_minus_dd(knots, y), rel=1e-12)
 
@@ -105,7 +105,7 @@ def test_symmetric_law_is_one_bspline_above_the_cap(n, a):
 
 def test_nan_shift_gives_nan(ref_capacity):
     d = UniformChoquetDist(ref_capacity)
-    for f in (d.pdf, d.cdf, d._cdf_raw):
+    for f in (d.pdf, d.cdf):
         assert math.isnan(f(math.nan))
         out = f(np.array([0.2, math.nan, 0.7]))
         assert np.isnan(out[1]) and not np.isnan(out[[0, 2]]).any()
@@ -280,3 +280,37 @@ def test_support_and_knots(ref_capacity):
     ks = d.knot_values()
     assert ks[0] == 0.0 and ks[-1] == 1.0
     assert set(np.round(ks, 12)) >= {0.0, 0.1, 0.55, 1.0}
+
+
+def _kind_games(rng, n_max=6):
+    for n in range(1, n_max + 1):
+        for kind, vals in game_kinds(n, rng).items():
+            yield (n, kind), SetFunction(n, vals)
+
+
+def test_cdf_stays_in_unit_interval_unclamped(rng):
+    # the cdf is the bare table average; a kernel that strays outside [0, 1]
+    # fails here instead of being clipped
+    for tag, g in _kind_games(rng):
+        d = UniformChoquetDist(g)
+        lo, hi = d.support()
+        ks = d.knot_values()
+        ys = np.concatenate([np.linspace(lo - 0.1, hi + 0.1, 201),
+                             *(ks + e for e in (0.0, 1e-13, -1e-13, 1e-9, -1e-9))])
+        cdf = d.cdf(ys)
+        assert cdf.min() >= 0.0 and cdf.max() <= 1.0, (tag, cdf.min(), cdf.max())
+
+
+def test_knot_values_are_the_chain_values(rng):
+    for tag, g in _kind_games(rng):
+        assert np.array_equal(UniformChoquetDist(g).knot_values(),
+                              np.unique(chain_table(g)[1])), tag
+
+
+def test_knot_values_need_no_chain_table(monkeypatch, rng):
+    def refuse(g):
+        raise AssertionError("knot_values must not build the chain table")
+
+    monkeypatch.setattr(uniform, "chain_table", refuse)
+    g = random_capacity(12, rng)
+    assert np.array_equal(UniformChoquetDist(g).knot_values(), np.unique(g.values))

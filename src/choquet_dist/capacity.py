@@ -159,15 +159,19 @@ def make_game(n: int, values: Mapping) -> SetFunction:
     numbers (not booleans).  Every nonempty subset must be assigned; the empty
     set defaults to 0 and may only be given as 0.
     """
+    return _fill_game(n, len(values), ((mask_of(key, n), val) for key, val in values.items()))
+
+
+def _fill_game(n: int, count: int, pairs: Iterable[tuple[int, object]]) -> SetFunction:
+    """:func:`make_game` on (mask, value) pairs, drawn after n and their count pass."""
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise CapacityFormatError(f"n must be a positive integer, got {n!r}")
-    if len(values) < (1 << n) - 1:
-        raise CapacityFormatError(f"missing subsets: {len(values)} values given for the "
+    if count < (1 << n) - 1:
+        raise CapacityFormatError(f"missing subsets: {count} values given for the "
                                   f"{(1 << n) - 1} nonempty subsets of n={n}")
     arr = np.zeros(1 << n)
     seen = np.zeros(1 << n, dtype=bool)
-    for key, val in values.items():
-        m = mask_of(key, n)
+    for m, val in pairs:
         if isinstance(val, bool) or not isinstance(val, numbers.Real):
             raise CapacityFormatError(f"subset {subset_of(m)} needs a number, got {val!r}")
         if seen[m]:
@@ -281,32 +285,37 @@ def random_capacity(n: int, rng: np.random.Generator) -> SetFunction:
 # JSON interchange format:
 #   {"n": 3, "values": {"1": 0.1, "1,2": 0.7, ..., "1,2,3": 1.0}}
 # Subset keys are comma-separated ascending attribute indices; the empty set
-# may appear as "" or the unicode empty-set sign and must then map to 0.
+# may appear as "" or the unicode empty-set sign and must then map to 0.  A
+# subset given twice, under one key or two spellings, is refused.
 # ---------------------------------------------------------------------------
 
-_EMPTY_KEYS = ("", "∅")
 
-
-def parse_subset_key(key: str) -> tuple[int, ...]:
+def _key_mask(key: str, n: int) -> int:
+    """The mask of a subset key, parsed and checked in one pass."""
     key = key.strip()
-    if key in _EMPTY_KEYS:
-        return ()
-    try:
-        items = tuple(int(part) for part in key.split(","))
-    except ValueError:
-        raise CapacityFormatError(f"bad subset key {key!r}") from None
-    if list(items) != sorted(set(items)):
-        raise CapacityFormatError(f"subset key {key!r} must list distinct ascending indices")
-    return items
+    if key in ("", "∅"):
+        return 0
+    mask = 0
+    for part in key.split(","):
+        try:
+            i = int(part)
+        except ValueError:
+            raise CapacityFormatError(f"bad subset key {key!r}") from None
+        if not 1 <= i <= n:
+            raise CapacityFormatError(f"attribute {i} outside 1..{n}")
+        if mask >> (i - 1):  # an index >= i came earlier
+            raise CapacityFormatError(f"subset key {key!r} must list distinct ascending indices")
+        mask |= 1 << (i - 1)
+    return mask
 
 
 def game_from_dict(doc: Mapping) -> SetFunction:
     if "n" not in doc or "values" not in doc:
         raise CapacityFormatError('capacity JSON needs the keys "n" and "values"')
-    vals = doc["values"]
+    n, vals = doc["n"], doc["values"]
     if not isinstance(vals, Mapping):
         raise CapacityFormatError('"values" must map subset keys to numbers')
-    return make_game(doc["n"], {parse_subset_key(k): v for k, v in vals.items()})
+    return _fill_game(n, len(vals), ((_key_mask(key, n), val) for key, val in vals.items()))
 
 
 def game_to_dict(g: SetFunction) -> dict:
@@ -315,12 +324,20 @@ def game_to_dict(g: SetFunction) -> dict:
     return {"n": g.n, "values": values}
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict, refusing a key given twice verbatim."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise CapacityFormatError("a JSON object gives one key twice")
+    return doc
+
+
 def load_capacity(path) -> SetFunction:
     """Read a game from a capacity JSON file (axioms beyond nu(empty)=0 are
     not enforced here; use :func:`check_capacity` for that)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise CapacityFormatError(f"{path}: not valid JSON ({exc})") from None
     return game_from_dict(doc)

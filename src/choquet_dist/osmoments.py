@@ -7,10 +7,10 @@ r_i = i/(n+1) gives the David-Johnson series, whose terms are grouped by
 powers of 1/(n+2).  The order-(n+2)^-2 truncation is the default; the
 order-(n+2)^-3 terms are included behind the ``order=3`` flag.
 
-Every moment function broadcasts over arrays of 1-based indices.  An
-``OrderStats`` record tabulates them once per (law, n): the mean vector
-E[X_{i:n}] and the symmetric product matrix E[X_{i:n} X_{j:n}], which
-:func:`~choquet_dist.moments._spacings` alone reads.
+The series functions broadcast over arrays of 1-based indices.  An
+``OrderStats`` record holds a law's moments once per (law, n), built on whole
+index arrays: the mean vector E[X_{i:n}] and the symmetric product matrix
+E[X_{i:n} X_{j:n}], which :func:`~choquet_dist.moments._spacings` alone reads.
 
 ``LAWS`` is the one registry of input laws: each name maps to its quantile
 model and, for the uniform and exponential laws, the exact record builder.
@@ -33,46 +33,6 @@ def _check_indices(i, j, n: int) -> None:
     i, j = np.asarray(i), np.asarray(j)
     if not np.all((1 <= i) & (i <= j) & (j <= n)):
         raise ValueError(f"need 1 <= i <= j <= n, got i={i}, j={j}, n={n}")
-
-
-# ---------------------------------------------------------------------------
-# exact uniform moments
-# ---------------------------------------------------------------------------
-
-def uniform_mean(i, n: int):
-    """E[U_{i:n}] = i/(n+1)."""
-    _check_indices(i, i, n)
-    return i / (n + 1)
-
-
-def uniform_product(i, j, n: int):
-    """E[U_{i:n} U_{j:n}] = i(j+1)/((n+1)(n+2)) for i <= j."""
-    _check_indices(i, j, n)
-    return i * (j + 1) / ((n + 1) * (n + 2))
-
-
-# ---------------------------------------------------------------------------
-# exact exponential moments
-# ---------------------------------------------------------------------------
-
-def _exp_tail_sums(n: int, power: int) -> np.ndarray:
-    """Entry i-1 is sum_{k=n-i+1}^{n} 1/k^power, i = 1..n."""
-    return np.cumsum(1.0 / np.arange(n, 0, -1.0) ** power)
-
-
-def exp_mean(i, n: int):
-    """E[X_{i:n}] = sum_{k=n-i+1}^{n} 1/k for standard exponential inputs."""
-    _check_indices(i, i, n)
-    return _exp_tail_sums(n, 1)[np.asarray(i) - 1]
-
-
-def exp_product(i, j, n: int):
-    """E[X_{i:n} X_{j:n}] for i <= j: the covariance sum_{k=n-i+1}^n 1/k^2
-    plus the product of the means."""
-    _check_indices(i, j, n)
-    h1, h2 = _exp_tail_sums(n, 1), _exp_tail_sums(n, 2)
-    i, j = np.asarray(i) - 1, np.asarray(j) - 1
-    return h2[i] + h1[i] * h1[j]
 
 
 # ---------------------------------------------------------------------------
@@ -256,26 +216,32 @@ class OrderStats:
         return float(self.products[i - 1, j - 1])
 
 
-def _tabulate(n: int, mean, product) -> tuple[np.ndarray, np.ndarray]:
-    """Means and products from moment functions mean(i, n) and
-    product(i, j, n) that broadcast over index arrays; the products are
-    evaluated on the (min, max) index grid, the i <= j form they are for."""
+def _index_grids(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 1-based indices 1..n and their (min, max) grids, on which the
+    i <= j product formulas fill the whole symmetric matrix."""
     i = np.arange(1, n + 1)
-    return mean(i, n), product(np.minimum.outer(i, i), np.maximum.outer(i, i), n)
+    return i, np.minimum.outer(i, i), np.maximum.outer(i, i)
 
 
 class UniformOrderStats(OrderStats):
-    """Exact standard-uniform order-statistic moments for a fixed n."""
+    """Exact standard-uniform order-statistic moments for a fixed n:
+    E[U_{i:n}] = i/(n+1) and E[U_{i:n} U_{j:n}] = i(j+1)/((n+1)(n+2)), i <= j."""
 
     def __init__(self, n: int):
-        super().__init__("uniform", n, *_tabulate(n, uniform_mean, uniform_product))
+        i, lo, hi = _index_grids(n)
+        super().__init__("uniform", n, i / (n + 1), lo * (hi + 1) / ((n + 1) * (n + 2)))
 
 
 class ExponentialOrderStats(OrderStats):
-    """Exact standard-exponential order-statistic moments for a fixed n."""
+    """Exact standard-exponential order-statistic moments for a fixed n:
+    E[X_{i:n}] = h1_i and E[X_{i:n} X_{j:n}] = h2_i + h1_i h1_j for i <= j,
+    with the tail sums h1_i, h2_i of 1/k and 1/k^2 over k = n-i+1..n."""
 
     def __init__(self, n: int):
-        super().__init__("exponential", n, *_tabulate(n, exp_mean, exp_product))
+        _, lo, hi = _index_grids(n)
+        k = np.arange(n, 0, -1.0)
+        h1, h2 = np.cumsum(1.0 / k), np.cumsum(1.0 / k**2)
+        super().__init__("exponential", n, h1, h2[lo - 1] + h1[lo - 1] * h1[hi - 1])
 
 
 class DavidJohnsonOrderStats(OrderStats):
@@ -283,9 +249,8 @@ class DavidJohnsonOrderStats(OrderStats):
 
     def __init__(self, qm: QuantileModel, n: int, order: int = 2):
         self.order = order
-        super().__init__(qm.name, n, *_tabulate(
-            n, lambda i, n: dj_mean(qm, i, n, order),
-            lambda i, j, n: dj_product(qm, i, j, n, order)))
+        i, lo, hi = _index_grids(n)
+        super().__init__(qm.name, n, dj_mean(qm, i, n, order), dj_product(qm, lo, hi, n, order))
 
 
 # ---------------------------------------------------------------------------

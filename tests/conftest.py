@@ -14,6 +14,15 @@ from choquet_dist import make_game
 REF_VALUES = {(1,): 0.1, (2,): 0.2, (3,): 0.55,
               (1, 2): 0.7, (1, 3): 0.8, (2, 3): 0.6, (1, 2, 3): 1.0}
 
+# capacity JSON texts that give one subset twice: under two spellings of its
+# key, as both empty-set keys, and under one key repeated verbatim
+_REST = '"2": 0.2, "1,2": 1.0'
+DUPLICATE_SUBSET_JSON = {
+    "spelling": '{"n": 2, "values": {"1": 0.5, " 1": 0.7, %s}}' % _REST,
+    "empty_set": '{"n": 2, "values": {"": 0, "\u2205": 0, "1": 0.5, %s}}' % _REST,
+    "verbatim": '{"n": 2, "values": {"1": 0.5, "1": 0.7, %s}}' % _REST,
+}
+
 
 @pytest.fixture
 def ref_capacity():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from choquet_dist import (CapacityFormatError, SetFunction, chain_table,
 from choquet_dist.capacity import game_from_dict, game_to_dict, n_max
 
 from helpers import brute_choquet, brute_random_capacity, chain_walk, game_kinds
-from conftest import REF_VALUES
+from conftest import DUPLICATE_SUBSET_JSON, REF_VALUES
 
 
 def test_make_game_smallest():
@@ -297,3 +299,21 @@ def test_file_round_trip_n16(tmp_path):
     path = tmp_path / "n16.json"
     save_capacity(g, path)
     assert np.array_equal(load_capacity(path).values, g.values)
+
+
+@pytest.mark.parametrize("form", sorted(DUPLICATE_SUBSET_JSON))
+def test_load_capacity_refuses_a_subset_given_twice(tmp_path, form):
+    path = tmp_path / "twice.json"
+    path.write_text(DUPLICATE_SUBSET_JSON[form], encoding="utf-8")
+    with pytest.raises(CapacityFormatError, match="twice"):
+        load_capacity(path)
+
+
+def test_load_capacity_key_errors(tmp_path):
+    path = tmp_path / "bad.json"
+    for key, message in (("1;2", "bad subset key"), ("2,1", "ascending"),
+                         ("1,1", "ascending"), ("0", "outside"), ("1,3", "outside")):
+        doc = {"n": 2, "values": {key: 0.5, "1": 0.5, "2": 0.5, "1,2": 1.0}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CapacityFormatError, match=message):
+            load_capacity(path)

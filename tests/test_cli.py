@@ -15,6 +15,7 @@ from choquet_dist import (closed_form_mean, closed_form_sd, ks_statistic,
 from choquet_dist.cli import build_parser, main, parse_grid
 from choquet_dist.capacity import CapacityFormatError
 from choquet_dist.osmoments import LAWS, provider_for
+from conftest import DUPLICATE_SUBSET_JSON
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 REF = str(DOCS / "example_capacity.json")
@@ -93,6 +94,15 @@ def test_validate_rejects_malformed_json(tmp_path, capsys, doc):
     code, out, err = run_cli(capsys, "validate", "--capacity", str(path))
     assert code == 2 and out == ""
     assert "invalid input" in err
+
+
+@pytest.mark.parametrize("form", sorted(DUPLICATE_SUBSET_JSON))
+def test_validate_refuses_a_subset_given_twice(tmp_path, capsys, form):
+    path = tmp_path / "twice.json"
+    path.write_text(DUPLICATE_SUBSET_JSON[form], encoding="utf-8")
+    code, out, err = run_cli(capsys, "validate", "--capacity", str(path))
+    assert code == 2 and out == ""
+    assert "invalid input" in err and "twice" in err
 
 
 def test_moments_uniform(capsys):

@@ -10,9 +10,7 @@ from choquet_dist import (DavidJohnsonOrderStats, ExponentialOrderStats,
                           uniform_quantile_model)
 from choquet_dist import osmoments
 from choquet_dist.normal import norm_ppf
-from choquet_dist.osmoments import (LAWS, exp_mean, exp_product, law_for,
-                                    provider_for, uniform_mean,
-                                    uniform_product)
+from choquet_dist.osmoments import LAWS, law_for, provider_for
 from helpers import (normal_os_mean_quad, normal_os_product_quad,
                      uniform_product_moment)
 
@@ -21,11 +19,18 @@ SQRT_2PI = math.sqrt(2 * math.pi)
 
 # ---- inverse normal ------------------------------------------------------
 
-def test_norm_ppf_accuracy_against_scipy():
-    ps = np.concatenate([np.geomspace(1e-9, 0.5, 3000),
-                         1.0 - np.geomspace(1e-9, 0.5, 3000)])
-    err = np.abs(norm_ppf(ps) - special.ndtri(ps))
-    assert err.max() < 1e-12
+def test_norm_ppf_round_trip_through_erfc():
+    # the tail mass beyond x, 0.5 erfc(|x|/sqrt 2), returns min(p, 1-p); an
+    # error dx in x moves it by a relative |x dx|, hence the 1 + x^2 scale
+    lower = np.geomspace(1e-300, 0.5, 3000)
+    ps = np.concatenate([lower, 1.0 - np.geomspace(1e-16, 0.5, 3000)])
+    xs = norm_ppf(ps)
+    tail = np.array([0.5 * math.erfc(abs(x) / math.sqrt(2)) for x in xs])
+    want = np.minimum(ps, 1.0 - ps)
+    rel = np.abs(tail - want) / want / (1.0 + xs**2)
+    assert rel.max() < 1e-15, (ps[rel.argmax()], rel.max())
+    assert np.all(xs[:3000] <= 0) and np.all(xs[3000:] >= 0)
+    assert norm_ppf(0.5) == 0.0 and isinstance(norm_ppf(0.25), float)
 
 
 def test_norm_ppf_domain():
@@ -97,17 +102,18 @@ def test_dj_record_evaluates_the_quantile_once_per_call(monkeypatch):
 # ---- exact uniform moments ----------------------------------------------
 
 def test_uniform_mean_basic():
-    assert uniform_mean(1, 1) == pytest.approx(0.5)
-    assert uniform_mean(2, 3) == pytest.approx(0.5)
+    assert UniformOrderStats(1).mean(1) == pytest.approx(0.5)
+    assert UniformOrderStats(3).mean(2) == pytest.approx(0.5)
 
 
 def test_uniform_product_factorial_formula():
     # l = 2 with unit powers
-    assert uniform_product(2, 3, 3) == pytest.approx(2 * 4 / (4 * 5))
+    assert UniformOrderStats(3).product(2, 3) == pytest.approx(2 * 4 / (4 * 5))
     # diagonal is the l = 1, power-2 case
     for n in (2, 4, 6):
+        prov = UniformOrderStats(n)
         for i in range(1, n + 1):
-            assert uniform_product(i, i, n) == pytest.approx(
+            assert prov.product(i, i) == pytest.approx(
                 i * (i + 1) / ((n + 1) * (n + 2)))
 
 
@@ -120,27 +126,28 @@ def test_uniform_product_moment_validates():
 
 def test_uniform_mean_sum_identity():
     for n in (1, 3, 7):
-        total = sum(uniform_mean(i, n) for i in range(1, n + 1))
+        total = UniformOrderStats(n).means.sum()
         assert total == pytest.approx(n / 2, abs=1e-12)
 
 
 # ---- exact exponential moments ------------------------------------------
 
 def test_exp_mean_values():
-    assert exp_mean(1, 3) == pytest.approx(1 / 3)
+    assert ExponentialOrderStats(3).mean(1) == pytest.approx(1 / 3)
     for n in (1, 2, 5):
-        assert exp_mean(n, n) == pytest.approx(sum(1 / k for k in range(1, n + 1)))
+        assert ExponentialOrderStats(n).mean(n) == pytest.approx(
+            sum(1 / k for k in range(1, n + 1)))
 
 
 def test_exp_mean_sum_identity():
     for n in (1, 4, 6):
-        total = sum(exp_mean(i, n) for i in range(1, n + 1))
+        total = ExponentialOrderStats(n).means.sum()
         assert total == pytest.approx(n, abs=1e-12)
 
 
 def test_exp_product_small_case():
     # cov = 1/4 and means are 1/2, 3/2
-    assert exp_product(1, 2, 2) == pytest.approx(1.0)
+    assert ExponentialOrderStats(2).product(1, 2) == pytest.approx(1.0)
 
 
 def test_exp_product_vs_monte_carlo(rng):
@@ -148,7 +155,7 @@ def test_exp_product_vs_monte_carlo(rng):
     x = np.sort(-np.log1p(-rng.random((200_000, n))), axis=1)
     emp = np.mean(x[:, 0] * x[:, 2])
     se = np.std(x[:, 0] * x[:, 2], ddof=1) / math.sqrt(len(x))
-    assert abs(exp_product(1, 3, n) - emp) < 4 * se
+    assert abs(ExponentialOrderStats(n).product(1, 3) - emp) < 4 * se
 
 
 def test_spacing_positivity_exact_providers():
@@ -164,13 +171,14 @@ def test_spacing_positivity_exact_providers():
 def test_series_truncates_to_exact_uniform():
     qm = uniform_quantile_model()
     for n in (2, 3, 6):
+        exact = UniformOrderStats(n)
         for order in (2, 3):
             for i in range(1, n + 1):
                 assert dj_mean(qm, i, n, order) == pytest.approx(
-                    uniform_mean(i, n), abs=1e-14)
+                    exact.mean(i), abs=1e-14)
                 for j in range(i, n + 1):
                     assert dj_product(qm, i, j, n, order) == pytest.approx(
-                        uniform_product(i, j, n), abs=1e-14)
+                        exact.product(i, j), abs=1e-14)
 
 
 def test_series_median_term_vanishes_for_normal():
@@ -240,8 +248,9 @@ def test_series_exponential_law_sanity():
     # same machinery against a second law with known exact values
     qm = exponential_quantile_model()
     n = 5
+    exact = ExponentialOrderStats(n)
     for i in (1, 3, 5):
-        assert dj_mean(qm, i, n, 3) == pytest.approx(exp_mean(i, n), abs=0.02)
+        assert dj_mean(qm, i, n, 3) == pytest.approx(exact.mean(i), abs=0.02)
 
 
 # ---- law registry ----------------------------------------------------------

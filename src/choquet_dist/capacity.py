@@ -14,14 +14,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-import os
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-DEFAULT_N_MAX = 10
+CHAIN_N_MAX = 10  # 10! = 3,628,800 rows; 11! would take ~6 GB
 NORMALIZATION_TOL = 1e-12
 MONOTONICITY_SLACK = 1e-12
 
@@ -30,19 +29,18 @@ class CapacityFormatError(ValueError):
     """A game/capacity specification is malformed or incomplete."""
 
 
-def n_max() -> int:
-    """Largest n of the exponential law and of a non-symmetric game's n!
-    chains in :func:`chain_table` (default 10); override with CHOQUET_NMAX."""
-    env = os.environ.get("CHOQUET_NMAX")
-    return int(env) if env else DEFAULT_N_MAX
-
-
 def mask_of(subset: Iterable[int], n: int) -> int:
+    """The mask of a subset: a non-string iterable of distinct ints in 1..n."""
+    if isinstance(subset, (str, bytes)) or not isinstance(subset, Iterable):
+        raise CapacityFormatError(f"subset {subset!r} must be an iterable of indices")
     m = 0
     for i in subset:
-        if not 1 <= int(i) <= n:
-            raise CapacityFormatError(f"attribute {i} outside 1..{n}")
-        m |= 1 << (int(i) - 1)
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not 1 <= i <= n:
+            raise CapacityFormatError(f"subset {subset!r}: {i!r} is not an index in 1..{n}")
+        bit = 1 << (int(i) - 1)
+        if m & bit:
+            raise CapacityFormatError(f"subset {subset!r} gives index {i} twice")
+        m |= bit
     return m
 
 
@@ -155,7 +153,7 @@ class Chain:
 def make_game(n: int, values: Mapping) -> SetFunction:
     """Build a game from a subset -> value map.
 
-    Keys are iterables of attribute indices in 1..n and values are real
+    Keys are subsets as :func:`mask_of` reads them and values are real
     numbers (not booleans).  Every nonempty subset must be assigned; the empty
     set defaults to 0 and may only be given as 0.
     """
@@ -220,15 +218,15 @@ def chain_table(g: SetFunction) -> tuple[np.ndarray, np.ndarray]:
     lexicographic order; row k of ``nu`` (n!, n+1) holds nu of its nested
     prefixes, nu[k, i] = nu({sigma_k(1..i)}) with nu[k, 0] = 0.  A symmetric
     game, whose orderings share one chain, gets the identity row alone at any
-    n; otherwise n is capped at :func:`n_max`.
+    n; any other game is refused above ``CHAIN_N_MAX``.
     """
     n = g.n
     if g.is_symmetric():
         return (np.arange(1, n + 1, dtype=np.int8)[None],
                 g.values[(1 << np.arange(n + 1)) - 1][None])
-    if n > n_max():
-        raise ValueError(f"n={n} exceeds the permutation-enumeration cap {n_max()}; "
-                         "set CHOQUET_NMAX to raise it")
+    if n > CHAIN_N_MAX:
+        raise ValueError(f"n={n}: a non-symmetric game has n! = {math.factorial(n):,} "
+                         f"chains, above the enumeration cap n = {CHAIN_N_MAX}")
     sigmas = np.fromiter(permutations(range(1, n + 1)), dtype=(np.int8, n),
                          count=math.factorial(n))
     masks = np.cumsum(1 << (sigmas.astype(np.int32) - 1), axis=1, dtype=np.int32)

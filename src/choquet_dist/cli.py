@@ -4,7 +4,7 @@ Subcommands: validate, moments, pdf, cdf, mixture, stigler, sample.  Numeric
 output uses 12 significant digits; tables go to CSV (stdout unless --out is
 given), scalar summaries to JSON on stdout.  Exit status is 0 on success and
 2 for input/validation problems (schema violations, non-capacities where one
-is required, regularity failures, enumeration limits).
+is required, regularity failures, the n! chain cap, exponential cancellation).
 """
 from __future__ import annotations
 

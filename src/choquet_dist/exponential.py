@@ -8,8 +8,8 @@ positive and pairwise distinct; games violating this (the minimum capacity,
 for instance) are rejected with a pointer to the Monte Carlo path, since near
 ties make the partial-fraction coefficients blow up.  The scales, the
 regularity test and the partial-fraction weights are computed for all rows
-of :func:`~choquet_dist.capacity.chain_table` at once.  Past n_max the
-weights cancel and the mass strays from 1: every game is refused there.
+of :func:`~choquet_dist.capacity.chain_table` at once.  A game whose weights
+cancel past CANCELLATION_TOL (eps * sum |w| s) is refused as well.
 """
 from __future__ import annotations
 
@@ -17,11 +17,12 @@ import math
 
 import numpy as np
 
-from .capacity import SetFunction, chain_table, n_max
+from .capacity import SetFunction, chain_table
 from .moments import moments_report
 from .osmoments import ExponentialOrderStats
 
 C_DISTINCT_RTOL = 1e-9
+CANCELLATION_TOL = 1e-5
 
 
 class RegularityError(ValueError):
@@ -68,15 +69,11 @@ class ExponentialChoquetDist:
 
     Construction pools the (scale, weight) pairs of all chains by scale; the
     density is then weights @ exp(-y / scales) and the cdf integrates term by
-    term.
+    term.  An irregular game raises :class:`RegularityError`.
     """
 
     def __init__(self, game: SetFunction):
         self.game = game
-        n = game.n
-        if n > n_max():
-            raise ValueError(f"n={n} exceeds {n_max()}, beyond which the exponential law's "
-                             "partial-fraction weights cancel; set CHOQUET_NMAX to raise it")
         sigmas, nu = chain_table(game)
         c, regular = chain_coeffs(nu)
         if not np.all(regular):
@@ -85,19 +82,23 @@ class ExponentialChoquetDist:
         # partial fractions of x^(n-2) over the n scales of each chain; n = 1
         # gives the bare 1/c factor
         denom = np.ones_like(c)
-        for k in range(n):
+        for k in range(game.n):
             d = c - c[:, k:k + 1]
             d[:, k] = 1.0
             denom *= d
-        w = np.float_power(c, n - 2) / denom
+        w = np.float_power(c, game.n - 2) / denom
         # the weights of one scale can cancel by orders of magnitude: pool
         # them by exactly rounded sums
         self.scales, inverse = np.unique(c, return_inverse=True)
         inverse = inverse.ravel()
         by_scale = np.split(w.ravel()[np.argsort(inverse)], np.cumsum(np.bincount(inverse))[:-1])
         self.weights = np.array([math.fsum(part) for part in by_scale]) / len(c)
-        # 1 for a single scale; the pdf and cdf lose about eps times it
+        # 1 for a single scale; the cdf, mass and mean lose about eps times it
         self.cancellation = float(np.abs(self.weights) @ self.scales)
+        bound = np.finfo(float).eps * self.cancellation
+        if bound > CANCELLATION_TOL:
+            raise ValueError(f"exponential weights cancel: the cdf may be off by {bound:.1e} "
+                             f"(eps * sum |w| s > {CANCELLATION_TOL:g}); use Monte Carlo")
 
     def pdf(self, y):
         ya = np.asarray(y, dtype=float)

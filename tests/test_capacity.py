@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from choquet_dist import (CapacityFormatError, SetFunction, chain_table,
                           check_capacity, choquet, choquet_values, enumerate_chains,
                           load_capacity, make_game, orness, power_weight_game,
                           random_capacity, save_capacity)
-from choquet_dist.capacity import game_from_dict, game_to_dict, n_max
+from choquet_dist.capacity import game_from_dict, game_to_dict
 
 from helpers import brute_choquet, brute_random_capacity, chain_walk, game_kinds
 from conftest import DUPLICATE_SUBSET_JSON, REF_VALUES
@@ -47,8 +48,28 @@ def test_make_game_n_out_of_range():
 
 
 def test_make_game_accepts_numpy_numbers():
-    g = make_game(2, {(1,): np.float64(0.25), (2,): np.float32(0.5), (1, 2): np.int64(1)})
+    g = make_game(2, {(1,): np.float64(0.25), (2,): np.float32(0.5),
+                      (np.int64(1), np.int8(2)): np.int64(1)})
     assert list(g.values) == [0.0, 0.25, 0.5, 1.0]
+
+
+@pytest.mark.parametrize("n, key, replaces, message", [
+    (2, (1.5,), (1,), "1.5 is not an index in 1..2"),
+    (2, (True,), (1,), "True is not an index in 1..2"),
+    (2, (1, 1), (1,), "gives index 1 twice"),
+    (2, "1,2", (1, 2), "must be an iterable of indices"),
+    (12, "12", (1, 2), "must be an iterable of indices"),
+    (2, 1, (1,), "must be an iterable of indices"),
+], ids=["float", "bool", "repeated", "string", "digits", "bare-int"])
+def test_make_game_refuses_a_key_it_would_misread(n, key, replaces, message):
+    # the bad key stands in for one subset, so every other subset is given once
+    vals = {key: 0.5}
+    for m in range(1, 1 << n):
+        subset = tuple(i + 1 for i in range(n) if m >> i & 1)
+        if subset != replaces:
+            vals[subset] = 0.5
+    with pytest.raises(CapacityFormatError, match=message):
+        make_game(n, vals)
 
 
 def test_check_capacity_reference(ref_capacity):
@@ -246,18 +267,20 @@ def test_random_capacity_matches_running_max_oracle():
         assert np.array_equal(g.values, brute_random_capacity(raw))
 
 
-def test_nmax_env_override(monkeypatch):
-    monkeypatch.setenv("CHOQUET_NMAX", "3")
-    assert n_max() == 3
-    g = random_capacity(4, np.random.default_rng(4))  # building never enumerates
-    with pytest.raises(ValueError, match="CHOQUET_NMAX"):
-        next(enumerate_chains(g))
-
-
 def test_enumerate_chains_respects_cap():
     g = random_capacity(11, np.random.default_rng(11))  # constructible, but 11! chains are not
-    with pytest.raises(ValueError, match="CHOQUET_NMAX"):
+    with pytest.raises(ValueError, match="n! = 39,916,800 chains, above the enumeration cap"):
         next(enumerate_chains(g))
+
+
+@pytest.mark.parametrize("needle, allowed", [
+    ("os.environ", set()), ("getenv", set()), ("permutations(", {"capacity.py"})])
+def test_library_source_guard(needle, allowed):
+    """No module reads the environment, so results depend on the arguments
+    alone; only the chain table enumerates permutations."""
+    src = Path(__file__).resolve().parents[1] / "src" / "choquet_dist"
+    found = {p.name for p in src.glob("*.py") if needle in p.read_text(encoding="utf-8")}
+    assert found == allowed
 
 
 def _levels_constant(vals, n):

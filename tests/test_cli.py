@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choquet_dist import (closed_form_mean, closed_form_sd, ks_statistic,
-                          moments_report, power_weight_game, random_capacity,
-                          save_capacity)
+from choquet_dist import (ExponentialChoquetDist, closed_form_mean, closed_form_sd,
+                          ks_statistic, moments_report, power_weight_game,
+                          random_capacity, save_capacity)
 from choquet_dist.cli import build_parser, main, parse_grid
 from choquet_dist.capacity import CapacityFormatError
 from choquet_dist.osmoments import LAWS, provider_for
@@ -136,7 +136,7 @@ def test_moments_above_enumeration_cap(tmp_path, capsys):
     code, _, err = run_cli(capsys, "pdf", "--law", "uniform", "--capacity", str(path),
                            "--grid", "0:1:5")
     assert code == 2
-    assert "CHOQUET_NMAX" in err
+    assert "n! = 39,916,800 chains" in err
 
 
 def test_moments_of_an_n16_capacity_file(tmp_path, capsys):
@@ -168,8 +168,8 @@ def test_series_commands_take_the_order(capsys, argv):
 
 
 def test_symmetric_pdf_above_enumeration_cap(tmp_path, capsys):
-    # a symmetric game is one chain, so the uniform pdf needs no enumeration;
-    # the exponential law keeps its cap, where its weights cancel
+    # a symmetric game is one chain, so neither law enumerates; the
+    # exponential law is refused only where its weights cancel
     g = power_weight_game(12, 2.0)
     path = tmp_path / "n12.json"
     save_capacity(g, path)
@@ -179,10 +179,17 @@ def test_symmetric_pdf_above_enumeration_cap(tmp_path, capsys):
     rows = out.strip().splitlines()
     assert rows[0] == "y,pdf,cdf" and len(rows) == 6
     assert rows[1] == "0,0,0" and rows[-1].endswith(",1")
+    code, out, _ = run_cli(capsys, "pdf", "--law", "exponential", "--capacity", str(path),
+                           "--grid", "0:1:5")
+    assert code == 0
+    d, ys = ExponentialChoquetDist(g), np.linspace(0.0, 1.0, 5)
+    assert out.strip().splitlines()[1:] == [
+        f"{y:.12g},{p:.12g},{c:.12g}" for y, p, c in zip(ys, d.pdf(ys), d.cdf(ys))]
+    save_capacity(power_weight_game(13, 0.5), path)
     code, _, err = run_cli(capsys, "pdf", "--law", "exponential", "--capacity", str(path),
                            "--grid", "0:1:5")
     assert code == 2
-    assert "CHOQUET_NMAX" in err and "cancel" in err
+    assert "cancel" in err and "off by 1.5e-02" in err and "Monte Carlo" in err
 
 
 def test_pdf_grid_csv(tmp_path, capsys):

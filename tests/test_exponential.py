@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from choquet_dist import (ExponentialChoquetDist, RegularityError, chain_table,
-                          exp_moments, is_regular, make_game, random_capacity)
-from choquet_dist.exponential import chain_coeffs
+from choquet_dist import (ExponentialChoquetDist, RegularityError, SetFunction,
+                          chain_table, exp_moments, is_regular, make_game,
+                          power_weight_game, random_capacity)
+from choquet_dist import exponential
+from choquet_dist.exponential import CANCELLATION_TOL, chain_coeffs
 from choquet_dist.montecarlo import ks_statistic, sample_values
+
+from helpers import game_kinds
+
+EPS = np.finfo(float).eps
 
 
 def _all_nonempty(n):
@@ -98,6 +104,56 @@ def test_cancellation_ratio(ref_capacity):
     dist = ExponentialChoquetDist(ref_capacity)
     assert dist.cancellation >= 1.0
     assert dist.cancellation == float(np.abs(dist.weights) @ dist.scales)
+
+
+def _check_refusal_rule(g, slack=1.0):
+    """The constructor refuses g exactly when eps * cancellation exceeds
+    CANCELLATION_TOL, naming that bound; an accepted g has its mass and
+    mean within slack times the bound.  Returns whether g was accepted, or
+    None for an irregular g."""
+    try:
+        d = ExponentialChoquetDist(g)
+    except RegularityError:
+        return None
+    except ValueError as exc:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exponential, "CANCELLATION_TOL", math.inf)
+            bound = EPS * ExponentialChoquetDist(g).cancellation
+        assert bound > CANCELLATION_TOL and f"off by {bound:.1e}" in str(exc)
+        return False
+    bound = EPS * d.cancellation
+    assert bound <= CANCELLATION_TOL
+    w, s = d.weights, d.scales
+    mean = exp_moments(g)[0]
+    assert abs(w @ s - 1.0) <= slack * bound
+    assert abs(w @ s ** 2 - mean) <= slack * bound * mean
+    return True
+
+
+@pytest.mark.parametrize("a, reach", [(0.5, 10), (1.0, 12), (2.0, 16)])
+def test_power_weight_games_are_refused_by_their_rounding_bound(a, reach):
+    accepted = [n for n in range(2, 25) if _check_refusal_rule(power_weight_game(n, a))]
+    assert accepted == list(range(2, reach + 1))
+
+
+def test_every_kind_follows_the_refusal_rule():
+    # eps * cancellation estimates the rounding error rather than bounding it:
+    # each weight carries ~n roundings, and on these kinds the error reached
+    # 2.2 times the estimate (default_rng(11), n = 6, generic)
+    for seed in (1, 2, 3):
+        rng = np.random.default_rng(seed)
+        for n in range(1, 8):
+            for vals in game_kinds(n, rng).values():
+                _check_refusal_rule(SetFunction(n, vals), slack=n)
+
+
+def test_refusals_name_their_cause():
+    assert EPS * ExponentialChoquetDist(power_weight_game(12, 2.0)).cancellation < 1e-8
+    with pytest.raises(ValueError, match=r"off by 1\.5e-02 .* use Monte Carlo"):
+        ExponentialChoquetDist(power_weight_game(13, 0.5))
+    # a non-symmetric game above the enumeration cap is refused by the chain table
+    with pytest.raises(ValueError, match="n! = 39,916,800 chains"):
+        ExponentialChoquetDist(random_capacity(11, np.random.default_rng(11)))
 
 
 def test_cdf_limits(ref_capacity):

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import SetFunction, chain_table, subset_sizes
+from .capacity import SetFunction, chain_table, in_row_blocks, subset_sizes
 from .moments import _spacings
 from .normal import norm_cdf, norm_pdf
 from .osmoments import OrderStats, QuantileModel
@@ -202,26 +202,28 @@ def mixture_approx(g: SetFunction, stats: OrderStats) -> MixtureApprox:
 
 
 def mixture_pdf(m: MixtureApprox, y):
-    """Density of the normal mixture at y (scalar or array)."""
+    """Density of the normal mixture at y (scalar or array); its temporaries
+    hold at most BLOCK_ELEMENTS (point, component) entries."""
     return _mixture(m, y, lambda z, sd: norm_pdf(z) / sd)
 
 
 def mixture_cdf(m: MixtureApprox, y):
-    """Distribution function of the normal mixture at y (scalar or array)."""
+    """Distribution function of the normal mixture at y (scalar or array);
+    its temporaries hold at most BLOCK_ELEMENTS (point, component) entries."""
     return _mixture(m, y, lambda z, sd: norm_cdf(z))
 
 
 def _mixture(m: MixtureApprox, y, kernel):
     """The weighted sum over the components of kernel(z, sd) at the
-    standardized points z = (y - mean) / sd."""
+    standardized points z = (y - mean) / sd, a block of points at a time."""
     if np.any(m.variances <= 0.0):
         raise ValueError("a mixture component has nonpositive variance; "
                          "use the exact distribution instead")
     ya = np.asarray(y, dtype=float)
     sd = np.sqrt(m.variances)
-    z = (ya[..., None] - m.means) / sd
-    out = kernel(z, sd) @ m.weights
-    return float(out) if ya.ndim == 0 else out
+    out = in_row_blocks(lambda yb: kernel((yb[:, None] - m.means) / sd, sd) @ m.weights,
+                        ya.ravel(), m.weights.size)
+    return float(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
 
 
 def power_weight_game(n: int, a: float) -> SetFunction:

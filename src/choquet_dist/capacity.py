@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -23,6 +23,7 @@ import numpy as np
 CHAIN_N_MAX = 10  # 10! = 3,628,800 rows; 11! would take ~6 GB
 NORMALIZATION_TOL = 1e-12
 MONOTONICITY_SLACK = 1e-12
+BLOCK_ELEMENTS = 1 << 18  # elements of one (rows, width) temporary of a per-point evaluator
 
 
 class CapacityFormatError(ValueError):
@@ -255,16 +256,37 @@ def choquet(g: SetFunction, x) -> float:
     return float(choquet_values(g, xa[None])[0])
 
 
+def in_row_blocks(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                  width: int) -> np.ndarray:
+    """fn of consecutive row slices of x, written into one 1-D output of
+    len(x) values: fn maps a slice of r rows to r values through temporaries
+    of (r, width) elements.
+
+    A slice has BLOCK_ELEMENTS // width rows, rounded down to a power of two
+    (BLAS sums the rows of ``A @ w`` in groups, and a power of two keeps every
+    full slice aligned with them), and at least one row.
+    """
+    rows = 1 << max((BLOCK_ELEMENTS // width).bit_length() - 1, 0)
+    out = np.empty(len(x))
+    for start in range(0, len(x), rows):
+        out[start:start + rows] = fn(x[start:start + rows])
+    return out
+
+
 def choquet_values(g: SetFunction, x: np.ndarray) -> np.ndarray:
-    """Vectorized Choquet integral over the rows of an (m, n) sample matrix."""
+    """Vectorized Choquet integral over the rows of an (m, n) sample matrix,
+    evaluated in row blocks of at most BLOCK_ELEMENTS entries."""
     xa = np.asarray(x, dtype=float)
     if xa.ndim != 2 or xa.shape[1] != g.n:
         raise ValueError(f"expected an (m, {g.n}) matrix, got shape {xa.shape}")
-    order = np.argsort(-xa, axis=1, kind="stable")
-    masks = np.cumsum(1 << order.astype(np.int64), axis=1)
-    nu = g.values[masks]
-    weights = np.diff(nu, axis=1, prepend=0.0)
-    return np.einsum("ij,ij->i", weights, np.take_along_axis(xa, order, axis=1))
+
+    def block(xb):
+        order = np.argsort(-xb, axis=1, kind="stable")
+        masks = np.cumsum(1 << order.astype(np.int64), axis=1)
+        weights = np.diff(g.values[masks], axis=1, prepend=0.0)
+        return np.einsum("ij,ij->i", weights, np.take_along_axis(xb, order, axis=1))
+
+    return in_row_blocks(block, xa, g.n)
 
 
 def random_capacity(n: int, rng: np.random.Generator) -> SetFunction:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .capacity import SetFunction, chain_table
+from .capacity import SetFunction, chain_table, in_row_blocks
 from .moments import moments_report
 from .osmoments import ExponentialOrderStats
 
@@ -95,24 +95,34 @@ class ExponentialChoquetDist:
         self.weights = np.array([math.fsum(part) for part in by_scale]) / len(c)
         # 1 for a single scale; the cdf, mass and mean lose about eps times it
         self.cancellation = float(np.abs(self.weights) @ self.scales)
-        bound = np.finfo(float).eps * self.cancellation
+        eps = np.finfo(float).eps
+        # the pdf's terms are w e^(-y/s), so it loses about eps * sum |w|
+        self.pdf_bound = eps * float(np.abs(self.weights).sum())
+        bound = eps * self.cancellation
         if bound > CANCELLATION_TOL:
             raise ValueError(f"exponential weights cancel: the cdf may be off by {bound:.1e} "
                              f"(eps * sum |w| s > {CANCELLATION_TOL:g}); use Monte Carlo")
 
     def pdf(self, y):
-        ya = np.asarray(y, dtype=float)
-        pos = np.maximum(ya, 0.0)  # negative y contributes 0; avoid exp overflow
-        dens = np.exp(-np.divide.outer(pos, self.scales)) @ self.weights
-        out = np.where(ya < 0.0, 0.0, dens)
-        return float(out) if ya.ndim == 0 else out
+        """Density at y (scalar or array), good to about ``pdf_bound``; its
+        temporaries hold at most BLOCK_ELEMENTS (point, scale) entries."""
+        return self._sum(y, lambda decay: decay @ self.weights)
 
     def cdf(self, y):
-        ya = np.asarray(y, dtype=float)
-        pos = np.maximum(ya, 0.0)
+        """Distribution function at y (scalar or array), good to about eps *
+        ``cancellation``; its temporaries hold at most BLOCK_ELEMENTS
+        (point, scale) entries."""
         terms = self.weights * self.scales
-        vals = (1.0 - np.exp(-np.divide.outer(pos, self.scales))) @ terms
-        out = np.where(ya < 0.0, 0.0, vals)
+        return self._sum(y, lambda decay: (1.0 - decay) @ terms)
+
+    def _sum(self, y, reduce):
+        """reduce(exp(-y / scales)) at each y >= 0 and 0 at each y < 0, a
+        block of points at a time."""
+        ya = np.asarray(y, dtype=float)
+        pos = np.maximum(ya, 0.0).ravel()  # negative y contributes 0; avoid exp overflow
+        vals = in_row_blocks(lambda p: reduce(np.exp(-np.divide.outer(p, self.scales))),
+                             pos, self.scales.size)
+        out = np.where(ya < 0.0, 0.0, vals.reshape(ya.shape))
         return float(out) if ya.ndim == 0 else out
 
 

@@ -13,6 +13,7 @@ from scipy import integrate, special, stats
 
 from choquet_dist.capacity import chain_table
 from choquet_dist.exponential import C_DISTINCT_RTOL, RegularityError
+from choquet_dist.normal import norm_cdf, norm_pdf
 
 
 def brute_choquet(values_by_subset: dict, x) -> float:
@@ -443,3 +444,31 @@ def dd_recurrence(knots, y: float, minus: bool) -> float:
         for j in range(1, s + 1):
             A[j] = ((c[j - 1] - y) * A[j] + (y - bk) * A[j - 1]) / (c[j - 1] - bk)
     return A[s]
+
+
+# ---------------------------------------------------------------------------
+# one-shot evaluators: each per-point evaluator as a single (points x width)
+# product, with the library's own elementwise kernels; the row-blocked
+# library paths must reproduce these
+# ---------------------------------------------------------------------------
+
+def one_shot_mixture(m, y, pdf: bool) -> np.ndarray:
+    """Normal-mixture pdf or cdf at the 1-D points y."""
+    sd = np.sqrt(m.variances)
+    z = (y[:, None] - m.means) / sd
+    return (norm_pdf(z) / sd if pdf else norm_cdf(z)) @ m.weights
+
+
+def one_shot_exponential(dist, y, cdf: bool) -> np.ndarray:
+    """Exponential-law pdf or cdf at the 1-D points y from its partial fractions."""
+    decay = np.exp(-np.divide.outer(np.maximum(y, 0.0), dist.scales))
+    out = (1.0 - decay) @ (dist.weights * dist.scales) if cdf else decay @ dist.weights
+    return np.where(y < 0.0, 0.0, out)
+
+
+def one_shot_choquet_values(g, x) -> np.ndarray:
+    """Choquet integral of every row of the (m, n) matrix x."""
+    order = np.argsort(-x, axis=1, kind="stable")
+    masks = np.cumsum(1 << order.astype(np.int64), axis=1)
+    weights = np.diff(g.values[masks], axis=1, prepend=0.0)
+    return np.einsum("ij,ij->i", weights, np.take_along_axis(x, order, axis=1))

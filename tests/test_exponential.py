@@ -106,6 +106,15 @@ def test_cancellation_ratio(ref_capacity):
     assert dist.cancellation == float(np.abs(dist.weights) @ dist.scales)
 
 
+@pytest.mark.parametrize("n, a", [(16, 2.0), (10, 0.5), (12, 1.0)])
+def test_pdf_stays_within_its_own_rounding_bound(n, a):
+    # the pdf's terms are w e^(-y/s): at y = 0, where the density is exactly
+    # 0 for n >= 2, they cancel to eps * sum |w|, past the cdf's bound
+    dist = ExponentialChoquetDist(power_weight_game(n, a))
+    assert dist.pdf_bound == EPS * float(np.abs(dist.weights).sum())
+    assert abs(dist.pdf(0.0)) <= dist.pdf_bound
+
+
 def _check_refusal_rule(g, slack=1.0):
     """The constructor refuses g exactly when eps * cancellation exceeds
     CANCELLATION_TOL, naming that bound; an accepted g has its mass and

@@ -472,3 +472,15 @@ def one_shot_choquet_values(g, x) -> np.ndarray:
     masks = np.cumsum(1 << order.astype(np.int64), axis=1)
     weights = np.diff(g.values[masks], axis=1, prepend=0.0)
     return np.einsum("ij,ij->i", weights, np.take_along_axis(x, order, axis=1))
+
+
+def full_ks_statistic(samples, cdf) -> float:
+    """Kolmogorov distance with the cdf evaluated at every sorted draw: the
+    reference for the bracketed search in ``montecarlo.ks_statistic``."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    m = xs.size
+    f = np.asarray(cdf(xs), dtype=float)
+    steps = np.arange(1, m + 1) / m
+    d_plus = np.max(steps - f)
+    d_minus = np.max(f - (steps - 1.0 / m))
+    return float(max(d_plus, d_minus))

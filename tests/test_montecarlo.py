@@ -3,11 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from choquet_dist import (UniformChoquetDist, choquet_values, ks_statistic,
-                          make_game, sample, sample_values)
+from choquet_dist import (ExponentialChoquetDist, UniformChoquetDist, choquet_values,
+                          ks_statistic, make_game, mixture_approx, mixture_cdf,
+                          provider_for, random_capacity, sample, sample_values)
+from choquet_dist.montecarlo import KS_STRIDE
 from choquet_dist.moments import mean as general_mean
 from choquet_dist.normal import norm_ppf
-from choquet_dist.osmoments import LAWS, provider_for
+from choquet_dist.osmoments import LAWS
+
+from helpers import full_ks_statistic
 
 
 def _all_nonempty(n):
@@ -88,6 +92,77 @@ def test_ks_statistic_constant_samples():
     samples = np.full(100, 0.3)
     ks = ks_statistic(samples, lambda x: np.clip(x, 0, 1))
     assert ks == pytest.approx(max(0.3, 1 - 0.3))
+
+
+class CountingCdf:
+    """Wraps a cdf and counts its calls and the points passed to it."""
+
+    def __init__(self, cdf):
+        self.cdf = cdf
+        self.calls = 0
+        self.points = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        self.points += np.size(x)
+        return self.cdf(x)
+
+
+def test_ks_statistic_matches_full_evaluation_on_a_mixture():
+    g = random_capacity(5, np.random.default_rng(5))
+    mix = mixture_approx(g, provider_for("normal", 5, dj_order=3))
+    ys = sample_values(g, "normal", 200_000, seed=5)
+    counted = CountingCdf(lambda x: mixture_cdf(mix, x))
+    ks = ks_statistic(ys, counted)
+    assert abs(ks - full_ks_statistic(ys, lambda x: mixture_cdf(mix, x))) <= 1e-15
+    assert counted.calls <= 2
+    assert counted.points <= 0.1 * ys.size
+
+
+@pytest.mark.parametrize("law, dist", [("uniform", UniformChoquetDist),
+                                       ("exponential", ExponentialChoquetDist)])
+def test_ks_statistic_matches_full_evaluation_on_exact_laws(law, dist):
+    g = random_capacity(3, np.random.default_rng(3))
+    d = dist(g)
+    ys = sample_values(g, law, 100_000, seed=7)
+    assert abs(ks_statistic(ys, d.cdf) - full_ks_statistic(ys, d.cdf)) <= 1e-15
+
+
+_TABLE_X = np.linspace(-2.0, 2.0, 9)
+_TABLE_F = np.sort(np.random.default_rng(0).random(9))
+POINTWISE_CDFS = {"clip": lambda x: np.clip(x, 0.0, 1.0),
+                  "interp": lambda x: np.interp(x, _TABLE_X, _TABLE_F)}
+
+
+@pytest.mark.parametrize("cdf", list(POINTWISE_CDFS))
+@pytest.mark.parametrize("m", [2, 3, KS_STRIDE - 1, KS_STRIDE, KS_STRIDE + 1,
+                               2 * KS_STRIDE + 1, 1000])
+@pytest.mark.parametrize("kind", ["draws", "ties", "constant"])
+def test_ks_statistic_equals_full_evaluation_for_pointwise_cdfs(cdf, m, kind):
+    ys = np.random.default_rng(m).normal(0.5, 0.6, m)
+    if kind == "ties":
+        ys = np.round(ys, 2)
+    elif kind == "constant":
+        ys = np.full(m, ys[0])
+    f = POINTWISE_CDFS[cdf]
+    assert ks_statistic(ys, f) == full_ks_statistic(ys, f)
+
+
+def test_ks_statistic_of_a_decreasing_callable_is_short_by_at_most_its_decrease():
+    ys = np.random.default_rng(8).random(5000)
+    wobbly = lambda x: np.clip(x, 0.0, 1.0) + 0.01 * np.sin(300.0 * x)
+    f = wobbly(np.sort(ys))
+    decrease = float(np.max(np.maximum.accumulate(f)[:-1] - f[1:]))
+    full = full_ks_statistic(ys, wobbly)
+    assert full - decrease <= ks_statistic(ys, wobbly) <= full
+
+
+def test_ks_statistic_refuses_nan_and_takes_infinities():
+    clip = lambda x: np.clip(x, 0.0, 1.0)
+    with pytest.raises(ValueError, match="NaN"):
+        ks_statistic([0.1, np.nan, 0.3], clip)
+    ys = [-np.inf, 0.2, 0.7, np.inf]
+    assert ks_statistic(ys, clip) == full_ks_statistic(ys, clip) == 0.3
 
 
 def test_report_carries_reference_ks(ref_capacity):

@@ -1,5 +1,5 @@
-"""Smoke tests for the experiment scripts: each runs end to end on a capacity
-file in a fresh interpreter, with RuntimeWarnings as errors."""
+"""Smoke tests for the scripts: each runs end to end in a fresh interpreter,
+with RuntimeWarnings as errors; the experiment scripts on a capacity file."""
 import os
 import subprocess
 import sys
@@ -13,15 +13,18 @@ ROOT = Path(__file__).resolve().parents[1]
 CAPACITY = str(ROOT / "docs" / "example_capacity.json")
 
 
-def _run(tmp_path, script, args, capacity):
+def _script(tmp_path, script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script),
-         *args, "--capacity", capacity, "--samples", "2000",
-         "--out-dir", str(tmp_path / "out")],
+    return subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(ROOT / "scripts" / script), *args],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+def _run(tmp_path, script, args, capacity):
+    proc = _script(tmp_path, script, [*args, "--capacity", capacity, "--samples", "2000",
+                                      "--out-dir", str(tmp_path / "out")])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -45,3 +48,10 @@ def test_tabulate_densities_without_an_exact_exponential_law(tmp_path):
     assert "exponential: no exact law" in stdout and "only Monte Carlo applies" in stdout
     written = sorted(p.name for p in (tmp_path / "out").glob("*.csv"))
     assert written == ["exponential_mc_hist.csv", "uniform_exact.csv", "uniform_mc_hist.csv"]
+
+
+def test_replay_bench_gates_runs_one_pass(tmp_path):
+    proc = _script(tmp_path, "replay_bench_gates.py",
+                   ["--workload", "lattice_moments", "--seeds", "1", "--passes", "1"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "lattice_moments: seeds 1 x 1 passes, 0 of" in proc.stdout

@@ -19,7 +19,7 @@ import numpy as np
 from .capacity import SetFunction, choquet_values
 from .osmoments import law_for
 
-KS_STRIDE = 32  # sorted draws per coarse cdf evaluation in ks_statistic
+KS_STRIDES = (1024, 64, 8)  # sorted draws per segment, level by level, in ks_statistic
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,16 @@ def sample(g: SetFunction, law: str, n_samples: int, seed: int) -> MCReport:
 def ks_statistic(samples: np.ndarray, cdf: Callable) -> float:
     """sup_x |ECDF(x) - F(x)| over the sample points, both one-sided gaps.
 
-    ``cdf`` is called on sorted subsets of the sample, at most twice: first on
-    every KS_STRIDE-th order statistic and the largest, then on the draws
-    whose gap those values cannot bound below the best gap found.  For a
-    nondecreasing cdf the result is the one evaluating every draw gives;
-    otherwise it can be lower by at most the callable's largest decrease.
-    A NaN sample is refused; +-inf is allowed.
+    ``cdf`` is called on sorted subsets of the sample, at most
+    ``len(KS_STRIDES) + 1`` times.  The first call takes every
+    KS_STRIDES[0]-th order statistic and the largest, which cut the sorted
+    sample into segments with evaluated ends.  Each next call cuts the
+    segments into pieces of the next stride, drops the pieces whose draws
+    those ends bound below the best gap found, and evaluates the ends of the
+    rest; the last call evaluates every draw whose own bound still reaches
+    the best gap.  For a nondecreasing cdf the result is the one evaluating
+    every draw gives; otherwise it can be lower by at most the callable's
+    largest decrease.  A NaN sample is refused; +-inf is allowed.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     m = xs.size
@@ -67,23 +71,42 @@ def ks_statistic(samples: np.ndarray, cdf: Callable) -> float:
         raise ValueError("need at least 2 samples")
     if np.isnan(xs[-1]):  # sorting puts NaN last
         raise ValueError("the sample holds NaN")
-    upper = np.arange(1, m + 1) / m  # ECDF at each draw
-    lower = upper - 1.0 / m  # ECDF just below it
+    upper = lambda i: (i + 1) / m  # ECDF at draw i
+    lower = lambda i: upper(i) - 1.0 / m  # ECDF just below it
+    f = np.full(m, np.nan)  # the cdf at the draws evaluated so far
+    best = -np.inf
 
     def evaluate(idx):
-        f = np.asarray(cdf(xs[idx]), dtype=float)
-        if f.shape != idx.shape:
-            raise ValueError("the cdf must return one value per sample")
-        return f, np.max(np.maximum(upper[idx] - f, f - lower[idx]))
+        nonlocal best
+        if idx.size:
+            v = np.asarray(cdf(xs[idx]), dtype=float)
+            if v.shape != idx.shape:
+                raise ValueError("the cdf must return one value per sample")
+            f[idx] = v
+            best = np.maximum(best, np.max(np.maximum(upper(idx) - v, v - lower(idx))))
 
-    coarse = np.append(np.arange(0, m - 1, KS_STRIDE), m - 1)
-    f, best = evaluate(coarse)
-    # draw i lies between coarse draws a <= i <= b, so F(x_a) <= F(x_i) <= F(x_b)
-    # bounds its gap; the slack covers a cdf that rounding makes dip slightly
-    seg = np.arange(m - 1) // KS_STRIDE
-    bound = np.maximum(upper[:-1] - f[seg], f[seg + 1] - lower[:-1])
-    bound[coarse[:-1]] = -np.inf
-    fine = np.flatnonzero(bound >= best - 1e-12)
-    if fine.size:
-        best = np.maximum(best, evaluate(fine)[1])
+    # a draw a < i < b has F(x_a) <= F(x_i) <= F(x_b), which bounds its gap
+    # by max(upper(i) - F(x_a), F(x_b) - lower(i)); the slack below covers a
+    # cdf that rounding makes dip slightly
+    a = np.arange(0, m - 1, KS_STRIDES[0])  # segments [a, b] with both ends evaluated
+    b = np.minimum(a + KS_STRIDES[0], m - 1)
+    evaluate(np.append(a, m - 1))
+    for stride, finer in zip(KS_STRIDES, KS_STRIDES[1:]):
+        # cut each segment into pieces c <= i < d of the finer stride, keep the
+        # pieces whose draws the segment's ends cannot bound below best, and
+        # evaluate the ends of the kept pieces
+        c = a[:, None] + np.arange(0, stride, finer)
+        d = np.minimum(c + finer, b[:, None])
+        inside = c < d
+        kept = inside & (np.maximum(upper(d - 1) - f[a, None], f[b, None] - lower(c))
+                         >= best - 1e-12)
+        ends = kept.copy()
+        ends[:, 1:] |= kept[:, :-1]  # a kept piece ends where the next starts
+        ends[:, 0] = False  # the segment's own start is evaluated already
+        evaluate(c[ends & inside])
+        a, b = c[kept], d[kept]
+    i = a[:, None] + np.arange(1, KS_STRIDES[-1])
+    fa, fb = f[a, None], f[b, None]
+    evaluate(i[(i < b[:, None])
+               & (np.maximum(upper(i) - fa, fb - lower(i)) >= best - 1e-12)])
     return float(best)

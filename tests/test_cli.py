@@ -325,16 +325,39 @@ def test_missing_file(capsys):
     assert code == 2
 
 
-def test_uniform_moments_load_no_scipy():
-    # scipy serves only the normal law; the other commands never import it
+def _every_command():
+    """Each subcommand under each law its --law accepts, on the example capacity."""
+    grids = {"uniform": "0:1:21", "exponential": "0:5:21", "normal": "-3:3:21"}
+    yield ["validate", "--capacity", REF]
+    yield ["orness", "--capacity", REF]
+    for law in LAWS:
+        with_law = ["--capacity", REF, "--law", law]
+        yield ["moments", *with_law, "--dj-order", "3"]
+        yield ["pdf", *with_law, f"--grid={grids[law]}"]
+        yield ["cdf", *with_law, f"--grid={grids[law]}"]
+        yield ["mixture", *with_law, "--grid=-3:3:61", "--dj-order", "3"]
+        yield ["stigler", "--a", "2", "--n", "5", "--law", law, "--dj-order", "3"]
+        yield ["sample", *with_law, "--n", "2000", "--seed", "7"]
+
+
+def test_no_command_loads_scipy():
+    # scipy is a test-only dependency: no command of any law imports it
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    code = ("import sys; from choquet_dist.cli import main; "
-            f"main(['moments', '--capacity', {REF!r}, '--law', 'uniform']); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    commands = list(_every_command())
+    code = ("import contextlib, io, json, sys; from choquet_dist.cli import main\n"
+            "loaded = []\n"
+            f"for argv in {commands!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "        main(argv)\n"
+            "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(json.dumps(loaded))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert len(loaded) == len(commands) == 2 + 6 * len(LAWS)
+    assert [(argv, mods) for argv, mods in zip(commands, loaded) if mods] == []

@@ -1,7 +1,7 @@
 """Distribution and moments of discrete Choquet integrals of i.i.d. samples.
 
 Core objects: games/capacities on a finite set (:mod:`.capacity`), divided
-differences of truncated powers (:mod:`.divdiff`), order-statistic moment
+differences of truncated powers (:mod:`.divdiff`), order-statistic spacing
 records (:mod:`.osmoments`), exact uniform and exponential distributions
 (:mod:`.uniform`, :mod:`.exponential`), law-generic moments (:mod:`.moments`),
 the normal-mixture approximation (:mod:`.asymptotic`), and a seedable Monte

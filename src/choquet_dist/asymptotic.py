@@ -31,7 +31,6 @@ from typing import Callable
 import numpy as np
 
 from .capacity import SetFunction, chain_table, in_row_blocks, subset_sizes
-from .moments import _spacings
 from .normal import norm_cdf, norm_pdf
 from .osmoments import OrderStats, QuantileModel
 
@@ -192,13 +191,12 @@ class MixtureApprox:
 
 def mixture_approx(g: SetFunction, stats: OrderStats) -> MixtureApprox:
     """Per-ordering normal components: component k is sum_t nu_t D_t over
-    the spacings of :mod:`.moments` and the chain values nu_1..nu_n of row k
+    the spacings D_t of the record and the chain values nu_1..nu_n of row k
     of :func:`~choquet_dist.capacity.chain_table` (only the identity chain for
-    a symmetric game), with mean nu.d and variance nu'(S - dd')nu."""
-    d, S = _spacings(stats)
+    a symmetric game), with mean nu.d and variance nu' Cov(D) nu."""
     nu = chain_table(g)[1][:, 1:]
-    variances = np.einsum("ks,st,kt->k", nu, S - np.outer(d, d), nu)
-    return MixtureApprox(np.full(len(nu), 1.0 / len(nu)), nu @ d, variances)
+    variances = np.einsum("ks,st,kt->k", nu, stats.cov, nu)
+    return MixtureApprox(np.full(len(nu), 1.0 / len(nu)), nu @ stats.d, variances)
 
 
 def mixture_pdf(m: MixtureApprox, y):

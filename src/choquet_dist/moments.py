@@ -3,13 +3,13 @@
 Over a uniformly random ordering, independent of the inputs, the integral is
 Y = sum_t nu(T_t) D_t, with T_t the set of the t largest inputs and
 D_t = X_{n-t+1:n} - X_{n-t:n} (X_{0:n} = 0).  The law's spacing record
-d = E[D], S = E[D D'] (:func:`_spacings`) and the game's chain record, the
-level means a_t = E nu(T_t) and the covariance K of the nu(T_t)
-(:func:`_chain_record`), give
+(:class:`~choquet_dist.osmoments.OrderStats`), d = E[D] and C = Cov(D), and
+the game's chain record, the level means a_t = E nu(T_t) and the covariance
+K of the nu(T_t) (:func:`_chain_record`), give
 
-    E[Y] = a.d,   E[Y^2] = <K, S> + a'Sa,   Var[Y] = <K, S> + a'(S - dd')a,
+    E[Y] = a.d,   Var[Y] = <K, C> + d'Kd + a'Ca,
 
-a variance of two non-negative terms, free of the m2 - m1^2 cancellation.
+a variance of three non-negative terms, free of the m2 - m1^2 cancellation.
 """
 from __future__ import annotations
 
@@ -31,15 +31,6 @@ class DistributionReport:
     mean: float
     variance: float
     sd: float
-
-
-def _spacings(stats: OrderStats) -> tuple[np.ndarray, np.ndarray]:
-    """E[D_t] and E[D_s D_t] for s, t = 1..n (index t-1): differences of the
-    order-statistic moments padded with X_{0:n} = 0, read from the top.  The
-    one reader of an order-statistic record's arrays."""
-    mu = np.append(0.0, stats.means)
-    M = np.pad(stats.products, ((1, 0), (1, 0)))
-    return np.diff(mu)[::-1], np.diff(np.diff(M, axis=0), axis=1)[::-1, ::-1]
 
 
 def nested_pair_level_sums(g: SetFunction) -> np.ndarray:
@@ -72,16 +63,14 @@ def _chain_record(g: SetFunction) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mean(g: SetFunction, stats: OrderStats) -> float:
-    """E[Y] = a.d for the input law of the order-statistic record."""
-    d, _ = _spacings(stats)
-    return float(_level_means(g) @ d)
+    """E[Y] = a.d for the input law of the spacing record."""
+    return float(_level_means(g) @ stats.d)
 
 
 def second_raw_moment(g: SetFunction, stats: OrderStats) -> float:
-    """E[Y^2] = <K, S> + a'Sa."""
-    _, S = _spacings(stats)
-    a, K = _chain_record(g)
-    return float(np.sum(K * S) + a @ S @ a)
+    """E[Y^2] = Var[Y] + E[Y]^2."""
+    rep = moments_report(g, stats)
+    return rep.variance + rep.mean ** 2
 
 
 def orness(g: SetFunction) -> float:
@@ -98,9 +87,9 @@ def orness(g: SetFunction) -> float:
 
 
 def moments_report(g: SetFunction, stats: OrderStats) -> DistributionReport:
-    """Mean a.d and variance <K, S> + a'(S - dd')a under one law."""
-    d, S = _spacings(stats)
+    """Mean a.d and variance <K, C> + d'Kd + a'Ca under one law."""
+    d, C = stats.d, stats.cov
     a, K = _chain_record(g)
-    var = float(np.sum(K * S) + a @ (S - np.outer(d, d)) @ a)
+    var = float(np.sum(K * C) + d @ K @ d + a @ C @ a)
     return DistributionReport(law=stats.law, mean=float(a @ d),
                               variance=var, sd=math.sqrt(max(var, 0.0)))

@@ -1,4 +1,4 @@
-"""First and second (product) moments of order statistics for the input laws.
+"""Moments of order statistics and of their spacings for the input laws.
 
 Exact closed forms are available for the standard uniform and standard
 exponential laws.  Any other law enters through the Taylor terms of its
@@ -8,9 +8,11 @@ powers of 1/(n+2).  The order-(n+2)^-2 truncation is the default; the
 order-(n+2)^-3 terms are included behind the ``order=3`` flag.
 
 The series functions broadcast over arrays of 1-based indices.  An
-``OrderStats`` record holds a law's moments once per (law, n), built on whole
-index arrays: the mean vector E[X_{i:n}] and the symmetric product matrix
-E[X_{i:n} X_{j:n}], which :func:`~choquet_dist.moments._spacings` alone reads.
+``OrderStats`` record holds a law's spacing moments once per (law, n): with
+D_t = X_{n-t+1:n} - X_{n-t:n} (X_{0:n} = 0), the mean vector d = E[D] and the
+covariance matrix Cov(D).  The uniform and exponential records fill them from
+closed forms, exact to one rounding at any n; the series record differences
+its order-statistic moments once, in its builder.
 
 ``LAWS`` is the one registry of input laws: each name maps to its quantile
 model and, for the uniform and exponential laws, the exact record builder.
@@ -188,69 +190,73 @@ def dj_product(qm: QuantileModel, i, j, n: int, order: int = 2):
 
 
 # ---------------------------------------------------------------------------
-# the order-statistic record: every law tabulated once per n
+# the spacing record: every law tabulated once per n
 # ---------------------------------------------------------------------------
 
 class OrderStats:
-    """First two moments of the order statistics of n i.i.d. draws of a law.
+    """First two moments of the order-statistic spacings of n i.i.d. draws.
 
-    ``means[i-1]`` is E[X_{i:n}] and ``products[i-1, j-1]`` is
-    E[X_{i:n} X_{j:n}] (symmetric); both arrays are read-only.  ``mean(i)``
-    and ``product(i, j)`` read single entries with the 1-based index check.
+    With D_t = X_{n-t+1:n} - X_{n-t:n} the t-th spacing from the top
+    (X_{0:n} = 0), ``d[t-1]`` is E[D_t] and ``cov[s-1, t-1]`` is
+    Cov(D_s, D_t); both arrays are read-only.  X_{i:n} is the sum of the D_t
+    over t > n - i, so ``mean(i)`` = E[X_{i:n}] and ``product(i, j)`` =
+    E[X_{i:n} X_{j:n}] are short sums over them, with the 1-based index check.
     """
 
-    def __init__(self, law: str, n: int, means, products):
+    def __init__(self, law: str, n: int, d, cov):
         self.law = law
         self.n = n
-        self.means = np.array(means, dtype=float)
-        self.products = np.array(products, dtype=float)
-        self.means.flags.writeable = False
-        self.products.flags.writeable = False
+        self.d = np.array(d, dtype=float)
+        self.cov = np.array(cov, dtype=float)
+        self.d.flags.writeable = False
+        self.cov.flags.writeable = False
 
     def mean(self, i: int) -> float:
         _check_indices(i, i, self.n)
-        return float(self.means[i - 1])
+        return float(self.d[self.n - i:].sum())
 
     def product(self, i: int, j: int) -> float:
         _check_indices(i, j, self.n)
-        return float(self.products[i - 1, j - 1])
-
-
-def _index_grids(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 1-based indices 1..n and their (min, max) grids, on which the
-    i <= j product formulas fill the whole symmetric matrix."""
-    i = np.arange(1, n + 1)
-    return i, np.minimum.outer(i, i), np.maximum.outer(i, i)
+        n, d = self.n, self.d
+        return float(self.cov[n - i:, n - j:].sum() + d[n - i:].sum() * d[n - j:].sum())
 
 
 class UniformOrderStats(OrderStats):
-    """Exact standard-uniform order-statistic moments for a fixed n:
-    E[U_{i:n}] = i/(n+1) and E[U_{i:n} U_{j:n}] = i(j+1)/((n+1)(n+2)), i <= j."""
+    """Exact standard-uniform spacings for a fixed n: E[D_t] = 1/(n+1) and
+    Cov(D) = (I (n+1) - 11')/((n+1)^2 (n+2)), each entry one rounding of its
+    rational value."""
 
     def __init__(self, n: int):
-        i, lo, hi = _index_grids(n)
-        super().__init__("uniform", n, i / (n + 1), lo * (hi + 1) / ((n + 1) * (n + 2)))
+        den = (n + 1) ** 2 * (n + 2)
+        cov = np.full((n, n), -1.0 / den)
+        np.fill_diagonal(cov, n / den)
+        super().__init__("uniform", n, np.full(n, 1.0 / (n + 1)), cov)
 
 
 class ExponentialOrderStats(OrderStats):
-    """Exact standard-exponential order-statistic moments for a fixed n:
-    E[X_{i:n}] = h1_i and E[X_{i:n} X_{j:n}] = h2_i + h1_i h1_j for i <= j,
-    with the tail sums h1_i, h2_i of 1/k and 1/k^2 over k = n-i+1..n."""
+    """Exact standard-exponential spacings for a fixed n (Renyi): the D_t are
+    independent exponentials of rate t, so E[D_t] = 1/t and Cov(D) = diag(1/t^2)."""
 
     def __init__(self, n: int):
-        _, lo, hi = _index_grids(n)
-        k = np.arange(n, 0, -1.0)
-        h1, h2 = np.cumsum(1.0 / k), np.cumsum(1.0 / k**2)
-        super().__init__("exponential", n, h1, h2[lo - 1] + h1[lo - 1] * h1[hi - 1])
+        t = np.arange(1.0, n + 1)
+        super().__init__("exponential", n, 1.0 / t, np.diag(1.0 / (t * t)))
 
 
 class DavidJohnsonOrderStats(OrderStats):
-    """Series-approximated moments for a quantile-specified law at a fixed n."""
+    """Series-approximated spacings for a quantile-specified law at a fixed n:
+    one ``dj_mean`` call on the indices and one ``dj_product`` call on their
+    (min, max) grids, padded with X_{0:n} = 0 and differenced here once;
+    ``cov`` is symmetric up to the rounding of those differences."""
 
     def __init__(self, qm: QuantileModel, n: int, order: int = 2):
         self.order = order
-        i, lo, hi = _index_grids(n)
-        super().__init__(qm.name, n, dj_mean(qm, i, n, order), dj_product(qm, lo, hi, n, order))
+        i = np.arange(1, n + 1)
+        mu = np.append(0.0, dj_mean(qm, i, n, order))
+        M = np.pad(dj_product(qm, np.minimum.outer(i, i), np.maximum.outer(i, i), n, order),
+                   ((1, 0), (1, 0)))
+        d = np.diff(mu)[::-1]
+        S = np.diff(np.diff(M, axis=0), axis=1)[::-1, ::-1]
+        super().__init__(qm.name, n, d, S - np.outer(d, d))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +266,7 @@ class DavidJohnsonOrderStats(OrderStats):
 @dataclass(frozen=True)
 class Law:
     """An input law: a factory for its quantile model and, where the
-    order-statistic moments have closed forms, the exact record builder."""
+    spacing moments have closed forms, the exact record builder."""
 
     quantile_model: Callable[[], QuantileModel]
     exact_stats: Callable[[int], OrderStats] | None = None
@@ -285,8 +291,8 @@ def law_for(name: str) -> Law:
 
 
 def provider_for(law: str, n: int, dj_order: int = 2) -> OrderStats:
-    """Order-statistic moments of the named law at n: exact where known,
-    otherwise the David-Johnson series of order dj_order."""
+    """Spacing record of the named law at n: exact where known, otherwise
+    the David-Johnson series of order dj_order."""
     entry = law_for(law)
     if entry.exact_stats is not None:
         return entry.exact_stats(n)

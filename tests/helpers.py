@@ -4,6 +4,7 @@ Everything here is deliberately written from first principles (explicit
 sorting, textbook densities, brute-force quadrature) and stays independent of
 the library code paths it checks.
 """
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -156,14 +157,15 @@ def brute_nested_pairs(g) -> np.ndarray:
     return P
 
 
-def exact_uniform_moments(g) -> tuple[Fraction, Fraction]:
-    """E[Y] and Var[Y] under uniform inputs in rational arithmetic, the
-    game's floats taken exactly: the spacings D_t have E[D_t] = 1/(n+1) and
-    E[D_s D_t] = (1 + [s = t])/((n+1)(n+2)), and every nested pair
-    T1 <= T2 is walked by submasks with the weight 1/(C(|T2|,|T1|) C(n,|T2|))."""
+def exact_spacing_moments(g, e1, e2) -> tuple[Fraction, Fraction]:
+    """E[Y] and Var[Y] in rational arithmetic from the spacing moments
+    E[D_t] = e1(t) and E[D_s D_t] = e2(s, t), the game's floats taken
+    exactly; every nested pair T1 <= T2 is walked by submasks with the
+    weight 1/(C(|T2|,|T1|) C(n,|T2|))."""
     n = g.n
     vals = [Fraction(v) for v in g.values.tolist()]
-    first = sum(vals[m] / math.comb(n, m.bit_count()) for m in range(1, 1 << n)) / (n + 1)
+    first = sum(vals[m] * e1(m.bit_count()) / math.comb(n, m.bit_count())
+                for m in range(1, 1 << n))
     by_sizes: dict[tuple[int, int], Fraction] = {}
     for m2 in range(1, 1 << n):
         sub = m2
@@ -171,11 +173,26 @@ def exact_uniform_moments(g) -> tuple[Fraction, Fraction]:
             key = (sub.bit_count(), m2.bit_count())
             by_sizes[key] = by_sizes.get(key, 0) + vals[sub] * vals[m2]
             sub = (sub - 1) & m2
-    # the pair's multiplicity (2 when T1 < T2) times (n+1)(n+2) E[D_s D_t]
-    second = sum(total * (2 if s < t else 1) * (2 if s == t else 1)
-                 / (math.comb(t, s) * math.comb(n, t) * (n + 1) * (n + 2))
+    # the pair's multiplicity is 2 when T1 < T2
+    second = sum(total * (2 if s < t else 1) * e2(s, t) / (math.comb(t, s) * math.comb(n, t))
                  for (s, t), total in by_sizes.items())
     return first, second - first * first
+
+
+def exact_uniform_moments(g) -> tuple[Fraction, Fraction]:
+    """E[Y] and Var[Y] under uniform inputs in rational arithmetic: the
+    spacings have E[D_t] = 1/(n+1) and E[D_s D_t] = (1 + [s = t])/((n+1)(n+2))."""
+    n = g.n
+    return exact_spacing_moments(g, lambda t: Fraction(1, n + 1),
+                                 lambda s, t: Fraction(1 + (s == t), (n + 1) * (n + 2)))
+
+
+def exact_exponential_moments(g) -> tuple[Fraction, Fraction]:
+    """E[Y] and Var[Y] under exponential inputs in rational arithmetic: the
+    spacings are independent with rates t (Renyi), so E[D_t] = 1/t and
+    E[D_s D_t] = (1 + [s = t])/(st)."""
+    return exact_spacing_moments(g, lambda t: Fraction(1, t),
+                                 lambda s, t: Fraction(1 + (s == t), s * t))
 
 
 def brute_raw_moment(g, r: int) -> float:
@@ -275,16 +292,30 @@ def expect_gn(dist, f) -> float:
     return total
 
 
+@functools.lru_cache(maxsize=8)
+def os_table(stats) -> tuple[np.ndarray, np.ndarray]:
+    """E[X_{i:n}] at [i-1] and E[X_{i:n} X_{j:n}] at [i-1, j-1] of a record,
+    one accessor call per order statistic and per pair i <= j, tabulated
+    once per record (records hash by identity)."""
+    n = stats.n
+    mu = np.array([stats.mean(i) for i in range(1, n + 1)])
+    M = np.empty((n, n))
+    for i in range(1, n + 1):
+        for j in range(i, n + 1):
+            M[i - 1, j - 1] = M[j - 1, i - 1] = stats.product(i, j)
+    return mu, M
+
+
 def component_stats(weights, stats) -> tuple[float, float]:
-    """Mean and variance of sum_i p_i X_{n-i+1:n}, one accessor call per
-    order statistic and per (i, k) pair."""
+    """Mean and variance of sum_i p_i X_{n-i+1:n}, term by term over the
+    accessor values of ``os_table``."""
     n = len(weights)
-    mean = sum(weights[i - 1] * stats.mean(n - i + 1) for i in range(1, n + 1))
+    mu, M = os_table(stats)
+    mean = sum(weights[i - 1] * mu[n - i] for i in range(1, n + 1))
     second = 0.0
     for i in range(1, n + 1):
         for k in range(1, n + 1):
-            a, b = n - i + 1, n - k + 1
-            second += weights[i - 1] * weights[k - 1] * stats.product(min(a, b), max(a, b))
+            second += weights[i - 1] * weights[k - 1] * M[n - i, n - k]
     return mean, second - mean * mean
 
 
@@ -415,10 +446,12 @@ def walk_exponential(g) -> tuple[np.ndarray, np.ndarray]:
 
 def walk_mixture(g, stats) -> tuple[np.ndarray, np.ndarray]:
     """(means, variances) of the per-ordering components, the weight matrix
-    stacked chain by chain (only the identity chain for a symmetric game)."""
+    stacked chain by chain (only the identity chain for a symmetric game)
+    against the accessor values of ``os_table``."""
     W = np.array([np.diff(nu_chain)[::-1] for _, nu_chain in table_walk(g)])
-    means = W @ stats.means
-    second = np.einsum("ki,ij,kj->k", W, stats.products, W)
+    mu, M = os_table(stats)
+    means = W @ mu
+    second = np.einsum("ki,ij,kj->k", W, M, W)
     return means, second - means * means
 
 

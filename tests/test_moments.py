@@ -11,8 +11,8 @@ from choquet_dist.capacity import subset_sizes
 from choquet_dist.moments import mean, nested_pair_level_sums, second_raw_moment
 from choquet_dist.montecarlo import sample_values
 
-from helpers import (brute_nested_pairs, exact_uniform_moments, game_kinds,
-                     spacing_moments)
+from helpers import (brute_nested_pairs, exact_exponential_moments, exact_uniform_moments,
+                     game_kinds, spacing_moments)
 
 
 def _all_nonempty(n):
@@ -144,14 +144,24 @@ def test_moments_match_monte_carlo(rng):
 
 
 def test_uniform_sd_matches_exact_rational_moments():
-    # the variance <K, S> + a'(S - dd')a sums non-negative terms; formed as
+    # the variance <K, C> + d'Kd + a'Ca sums non-negative terms; formed as
     # m2 - m1^2 the sd missed the rational value by up to 2.2e-14 here
     for k in range(6):
         g = random_capacity(9, np.random.default_rng(100 + k))
         m1, var = exact_uniform_moments(g)
         rep = moments_report(g, UniformOrderStats(9))
-        assert rep.mean == pytest.approx(float(m1), rel=5e-15, abs=0.0), k
-        assert rep.sd == pytest.approx(math.sqrt(var), rel=5e-15, abs=0.0), k
+        assert rep.mean == pytest.approx(float(m1), rel=1e-15, abs=0.0), k
+        assert rep.sd == pytest.approx(math.sqrt(var), rel=1e-15, abs=0.0), k
+
+
+@pytest.mark.parametrize("n", [6, 9])
+def test_exponential_sd_matches_exact_rational_moments(n):
+    for k in range(3):
+        g = random_capacity(n, np.random.default_rng([n, 200 + k]))
+        m1, var = exact_exponential_moments(g)
+        rep = moments_report(g, ExponentialOrderStats(n))
+        assert rep.mean == pytest.approx(float(m1), rel=1e-15, abs=0.0), k
+        assert rep.sd == pytest.approx(math.sqrt(var), rel=1e-15, abs=0.0), k
 
 
 def test_report_fields(ref_capacity):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,7 +127,8 @@ def test_uniform_product_moment_validates():
 
 def test_uniform_mean_sum_identity():
     for n in (1, 3, 7):
-        total = UniformOrderStats(n).means.sum()
+        prov = UniformOrderStats(n)
+        total = sum(prov.mean(i) for i in range(1, n + 1))
         assert total == pytest.approx(n / 2, abs=1e-12)
 
 
@@ -141,7 +143,8 @@ def test_exp_mean_values():
 
 def test_exp_mean_sum_identity():
     for n in (1, 4, 6):
-        total = ExponentialOrderStats(n).means.sum()
+        prov = ExponentialOrderStats(n)
+        total = sum(prov.mean(i) for i in range(1, n + 1))
         assert total == pytest.approx(n, abs=1e-12)
 
 
@@ -324,12 +327,13 @@ def test_record_index_guard():
 def test_record_arrays_are_read_only_and_symmetric():
     for prov in _builders(5):
         assert isinstance(prov, OrderStats)
-        assert prov.means.shape == (5,) and prov.products.shape == (5, 5)
-        assert np.array_equal(prov.products, prov.products.T)
+        assert prov.d.shape == (5,) and prov.cov.shape == (5, 5)
+        # the series record's differences round each way round differently
+        np.testing.assert_allclose(prov.cov, prov.cov.T, rtol=0.0, atol=1e-15)
         with pytest.raises(ValueError):
-            prov.means[0] = 1.0
+            prov.d[0] = 1.0
         with pytest.raises(ValueError):
-            prov.products[0, 1] = 1.0
+            prov.cov[0, 1] = 1.0
         # identity hashing: records can key a dict
         assert {prov: 1}[prov] == 1
 
@@ -360,6 +364,63 @@ def test_exact_records_match_scalar_oracles():
                 want = (uniform_product_moment([i], [2], n) if i == j
                         else uniform_product_moment([i, j], [1, 1], n))
                 assert uni.product(i, j) == pytest.approx(want, rel=1e-14)
-                assert uni.products[j - 1, i - 1] == uni.product(i, j)
                 assert ex.product(i, j) == pytest.approx(cov + ex.mean(i) * ex.mean(j),
                                                          rel=1e-14)
+
+
+def test_exact_cov_is_symmetric_read_only_and_psd():
+    for n in (1, 2, 5, 12, 40):
+        for prov in (UniformOrderStats(n), ExponentialOrderStats(n)):
+            assert np.array_equal(prov.cov, prov.cov.T)
+            assert not prov.cov.flags.writeable and not prov.d.flags.writeable
+            eig = np.linalg.eigvalsh(prov.cov)
+            assert eig.min() > -1e-15 * eig.max(), (n, prov.law, eig.min())
+
+
+@pytest.mark.parametrize("n", [100, 400])
+def test_exact_records_are_correctly_rounded_at_large_n(n):
+    uni, ex = UniformOrderStats(n), ExponentialOrderStats(n)
+    den = (n + 1) ** 2 * (n + 2)
+    off = ~np.eye(n, dtype=bool)
+    assert np.all(uni.d == float(Fraction(1, n + 1)))
+    assert np.all(np.diag(uni.cov) == float(Fraction(n, den)))
+    assert np.all(uni.cov[off] == float(Fraction(-1, den)))
+    t = range(1, n + 1)
+    assert ex.d.tolist() == [float(Fraction(1, k)) for k in t]
+    assert np.diag(ex.cov).tolist() == [float(Fraction(1, k * k)) for k in t]
+    assert np.all(ex.cov[off] == 0.0)
+
+
+@pytest.mark.parametrize("n", [100, 400])
+@pytest.mark.parametrize("a", [0.5, 2.0])
+def test_level_vector_variance_matches_rationals(n, a):
+    # the chain values nu_t of power_weight_game(n, a), built from its n + 1
+    # levels directly since the game itself stops at n = 24; the variance
+    # nu' Cov(D) nu against its rational value, the floats taken exactly
+    steps = ((n - np.arange(1, n + 1) + 1) / n) ** a / n
+    nu = np.concatenate([[0.0], np.cumsum(steps)])[1:]
+    x = [Fraction(v) for v in nu.tolist()]
+    exact = {"uniform": ((n + 1) * sum(v * v for v in x) - sum(x) ** 2)
+             / ((n + 1) ** 2 * (n + 2)),
+             "exponential": sum(v * v / (t * t) for t, v in enumerate(x, 1))}
+    for prov in (UniformOrderStats(n), ExponentialOrderStats(n)):
+        got = nu @ prov.cov @ nu
+        want = float(exact[prov.law])
+        assert got == pytest.approx(want, rel=2e-15, abs=0.0), prov.law
+
+
+def test_dj_record_differences_its_series_arrays_once():
+    # d and Cov(D) = S - dd' from the padded series arrays, bit for bit
+    for name in ("normal", "exponential"):
+        qm = law_for(name).quantile_model()
+        for order in (2, 3):
+            for n in range(1, 13):
+                i = np.arange(1, n + 1)
+                mu = np.append(0.0, dj_mean(qm, i, n, order))
+                M = np.pad(dj_product(qm, np.minimum.outer(i, i), np.maximum.outer(i, i),
+                                      n, order), ((1, 0), (1, 0)))
+                d = np.diff(mu)[::-1]
+                S = np.diff(np.diff(M, axis=0), axis=1)[::-1, ::-1]
+                prov = DavidJohnsonOrderStats(qm, n, order)
+                assert np.array_equal(prov.d, d), (name, order, n)
+                assert np.array_equal(prov.cov, S - np.outer(d, d)), (name, order, n)

@@ -12,8 +12,7 @@ from .capacity import (CapacityCheck, CapacityFormatError, Chain, SetFunction,
                        enumerate_chains, game_from_dict, game_to_dict,
                        load_capacity, make_game, random_capacity, save_capacity)
 from .divdiff import tp_minus_dd, tp_plus_dd
-from .exponential import (ExponentialChoquetDist, RegularityError, exp_moments,
-                          is_regular)
+from .exponential import ExponentialChoquetDist, RegularityError, exp_moments
 from .moments import DistributionReport, moments_report, orness, second_raw_moment
 from .moments import mean as choquet_mean
 from .montecarlo import MCReport, ks_statistic, sample, sample_values
@@ -25,7 +24,6 @@ from .osmoments import (DavidJohnsonOrderStats, ExponentialOrderStats,
                         dj_product, exponential_quantile_model,
                         normal_quantile_model, provider_for,
                         uniform_quantile_model)
-from .uniform import (UniformChoquetDist, closed_form_mean,
-                      closed_form_sd, closed_form_second_moment)
+from .uniform import UniformChoquetDist, closed_form_mean, closed_form_second_moment
 
 __version__ = "0.1.0"

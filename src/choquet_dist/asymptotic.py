@@ -20,8 +20,8 @@ fixed composite Gauss-Legendre rule over the law's support does both.
 The integral itself is then approximately an equal-weight mixture of the
 normals of the chain table's rows (one row for a symmetric game).  Whether
 the conditions hold for a data-driven game cannot be checked; the orness
-diagnostic is the customary heuristic and callers should treat non-symmetric
-step-J results as exploratory.
+diagnostic is the customary heuristic and callers should treat the mixture
+of a non-symmetric game as exploratory.
 """
 from __future__ import annotations
 
@@ -77,17 +77,14 @@ class PanelRule:
         self.w = self._half * _GL_W
 
     @classmethod
-    def for_law(cls, qm: QuantileModel, breaks=()) -> "PanelRule":
+    def for_law(cls, qm: QuantileModel) -> "PanelRule":
         """BASE_PANELS equal panels on qm.support, graded geometrically into
-        both ends (where J(F(x)) = F(x)^a is only as smooth as x^a), with an
-        edge at G(u) for each jump u in (0, 1) of J listed in ``breaks``."""
+        both ends (where J(F(x)) = F(x)^a is only as smooth as x^a)."""
         lo, hi = qm.support
         h = (hi - lo) / BASE_PANELS
         graded = h * 0.5 ** np.arange(1, GRADED_PANELS + 1)
-        jumps = qm.quantile(np.asarray(breaks, dtype=float)) if breaks else ()
-        edges = np.concatenate([np.linspace(lo, hi, BASE_PANELS + 1),
-                                lo + graded, hi - graded, jumps])
-        return cls(np.unique(edges[(edges >= lo) & (edges <= hi)]))
+        return cls(np.unique(np.concatenate([np.linspace(lo, hi, BASE_PANELS + 1),
+                                             lo + graded, hi - graded])))
 
     def bisected(self) -> "PanelRule":
         """The same rule with every panel split in two."""
@@ -103,10 +100,10 @@ class PanelRule:
         return before[:, None] + self._half * (f @ _GL_S.T)
 
 
-def _by_halving(name: str, J, qm: QuantileModel, on_rule) -> float:
+def _by_halving(name: str, qm: QuantileModel, on_rule) -> float:
     """on_rule on the law's panels and on the bisected panels; the second
     value, if the two agree to QUAD_TOL."""
-    rule = PanelRule.for_law(qm, getattr(J, "breaks", ()))
+    rule = PanelRule.for_law(qm)
     coarse, fine = on_rule(rule), on_rule(rule.bisected())
     err = abs(fine - coarse)
     if not err <= QUAD_TOL * max(1.0, abs(fine)):
@@ -117,14 +114,11 @@ def _by_halving(name: str, J, qm: QuantileModel, on_rule) -> float:
 
 @dataclass(frozen=True)
 class WeightFunction:
-    """Order-statistic weight generator J on (0,1), applied to arrays.
-
-    ``breaks`` lists the u where J jumps; the quadrature puts panel edges
-    there.
-    """
+    """Order-statistic weight generator J on (0,1), applied to arrays.  The
+    quadrature of alpha and beta2 takes J smooth inside (0,1); a jump shows
+    as a failed halving check."""
 
     fn: Callable[[np.ndarray], np.ndarray]
-    breaks: tuple = ()
 
     def __call__(self, u):
         return self.fn(u)
@@ -132,27 +126,13 @@ class WeightFunction:
     @staticmethod
     def power(a: float) -> "WeightFunction":
         """J(u) = u^a."""
-        if a <= 0:
-            raise ValueError("the exponent must be strictly positive")
+        _check_exponent(a)
         return WeightFunction(lambda u: u ** a)
 
-    @staticmethod
-    def constant(value: float = 1.0) -> "WeightFunction":
-        return WeightFunction(lambda u: np.full(np.shape(u), float(value)))
 
-    @staticmethod
-    def from_weights(weights) -> "WeightFunction":
-        """Step function with J(i/n) = n p_{n-i+1} for the chain weights
-        p_1..p_n, extended as piecewise constant on ((i-1)/n, i/n]; the grid
-        values are pinned, the extension between them is a choice."""
-        w = np.asarray(weights, dtype=float)
-        n = w.size
-
-        def step(u):
-            i = np.clip(np.ceil(np.asarray(u) * n).astype(int), 1, n)
-            return n * w[n - i]
-
-        return WeightFunction(step, breaks=tuple(i / n for i in range(1, n)))
+def _check_exponent(a: float) -> None:
+    if not 0.0 < a < np.inf:
+        raise ValueError(f"the exponent must be finite and strictly positive, got {a}")
 
 
 def alpha(J: WeightFunction, qm: QuantileModel) -> float:
@@ -161,7 +141,7 @@ def alpha(J: WeightFunction, qm: QuantileModel) -> float:
         x = rule.x
         return rule.integral(J(qm.cdf(x)) * x * qm.pdf(x))
 
-    return _by_halving("alpha", J, qm, on_rule)
+    return _by_halving("alpha", qm, on_rule)
 
 
 def beta2(J: WeightFunction, qm: QuantileModel) -> float:
@@ -172,7 +152,7 @@ def beta2(J: WeightFunction, qm: QuantileModel) -> float:
         JF = J(F)
         return 2.0 * rule.integral(JF * (1.0 - F) * rule.cumulative(JF * F))
 
-    return _by_halving("beta^2", J, qm, on_rule)
+    return _by_halving("beta^2", qm, on_rule)
 
 
 @dataclass(frozen=True)
@@ -232,8 +212,7 @@ def power_weight_game(n: int, a: float) -> SetFunction:
     directly from per-cardinality prefix sums; n beyond the enumeration cap
     is fine here since its chain table is one row.
     """
-    if a <= 0:
-        raise ValueError("the exponent must be strictly positive")
+    _check_exponent(a)
     if n < 1 or n > 24:
         raise ValueError("n out of the supported range 1..24")
     steps = ((n - np.arange(1, n + 1) + 1) / n) ** a / n

@@ -312,6 +312,8 @@ def random_capacity(n: int, rng: np.random.Generator) -> SetFunction:
 
 def _key_mask(key: str, n: int) -> int:
     """The mask of a subset key, parsed and checked in one pass."""
+    if not isinstance(key, str):
+        raise CapacityFormatError(f"subset key {key!r} must be a string")
     key = key.strip()
     if key in ("", "∅"):
         return 0
@@ -330,6 +332,8 @@ def _key_mask(key: str, n: int) -> int:
 
 
 def game_from_dict(doc: Mapping) -> SetFunction:
+    if not isinstance(doc, Mapping):
+        raise CapacityFormatError(f"capacity JSON must be an object, got {type(doc).__name__}")
     if "n" not in doc or "values" not in doc:
         raise CapacityFormatError('capacity JSON needs the keys "n" and "values"')
     n, vals = doc["n"], doc["values"]

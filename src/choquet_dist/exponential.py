@@ -60,10 +60,6 @@ def _irregularity(sigma: tuple[int, ...], c: np.ndarray) -> RegularityError:
                            "does not apply (perturb nu or use Monte Carlo)", sigma=sigma)
 
 
-def is_regular(g: SetFunction) -> bool:
-    return bool(np.all(chain_coeffs(chain_table(g)[1])[1]))
-
-
 class ExponentialChoquetDist:
     """Exact distribution object for a regular game under exponential inputs.
 

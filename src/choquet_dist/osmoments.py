@@ -41,21 +41,13 @@ def _check_indices(i, j, n: int) -> None:
 # quantile models
 # ---------------------------------------------------------------------------
 
-def _taylor(terms: Callable) -> Callable:
-    """``taylor(u, k)`` of a law whose terms(u) lists G(u), G'(u), .., G^(6)(u)."""
-    def taylor(u, k: int) -> list:
-        if not 0 <= k <= 6:
-            raise ValueError(f"Taylor order {k} not available")
-        return terms(u)[:k + 1]
-    return taylor
-
-
 @dataclass(frozen=True)
 class QuantileModel:
     """An input law by its quantile G = F^{-1} on (0,1), whose Taylor terms
-    ``taylor(u, k)`` = [G(u), G'(u), .., G^(k)(u)], k <= 6, come from one
-    evaluation of G and feed the David-Johnson series, and by its cdf F and
-    density f on the real line, which feed the limit functionals in x = G(u).
+    ``taylor(u)`` = [G(u), G'(u), .., G^(6)(u)] come from one evaluation of G
+    and feed the David-Johnson series (order 2 reads the first five), and by
+    its cdf F and density f on the real line, which feed the limit
+    functionals in x = G(u).
     ``support`` is the law's support with each infinite end cut where the
     tail mass beyond it is below ~1e-17.  All callables take arrays.
     """
@@ -69,7 +61,7 @@ class QuantileModel:
 
 
 def uniform_quantile_model() -> QuantileModel:
-    return QuantileModel("uniform", lambda u: u, _taylor(lambda u: [u, 1.0] + [0.0] * 5),
+    return QuantileModel("uniform", lambda u: u, lambda u: [u, 1.0] + [0.0] * 5,
                          cdf=lambda x: x, pdf=np.ones_like, support=(0.0, 1.0))
 
 
@@ -77,7 +69,7 @@ def exponential_quantile_model() -> QuantileModel:
     """G(u) = -log(1-u) and G^(k)(u) = (k-1)!/(1-u)^k."""
     G = lambda u: -np.log1p(-u)
     terms = lambda u: [G(u)] + [math.factorial(k - 1) / (1.0 - u) ** k for k in range(1, 7)]
-    return QuantileModel("exponential", G, _taylor(terms),
+    return QuantileModel("exponential", G, terms,
                          cdf=lambda x: -np.expm1(-x), pdf=lambda x: np.exp(-x),
                          support=(0.0, 40.0))
 
@@ -97,7 +89,7 @@ def normal_quantile_model() -> QuantileModel:
                 (7.0 + g * g * (46.0 + 24.0 * g * g)) / f**5,
                 g * (127.0 + g * g * (326.0 + 120.0 * g * g)) / f**6]
 
-    return QuantileModel("normal", norm_ppf, _taylor(terms),
+    return QuantileModel("normal", norm_ppf, terms,
                          cdf=norm_cdf, pdf=norm_pdf, support=(-9.0, 9.0))
 
 
@@ -118,7 +110,7 @@ def dj_mean(qm: QuantileModel, i, n: int, order: int = 2):
     r = i / (n + 1)
     s = 1.0 - r
     d = s - r
-    g = qm.taylor(r, 4 if order == 2 else 6)
+    g = qm.taylor(r)
     val = (g[0] + r * s / (2 * m) * g[2]
            + r * s / m**2 * (d * g[3] / 3 + r * s * g[4] / 8))
     if order == 3:
@@ -141,7 +133,7 @@ def dj_product(qm: QuantileModel, i, j, n: int, order: int = 2):
     si, sj = 1.0 - ri, 1.0 - rj
     di, dj = si - ri, sj - rj
     # row a holds G^(a) at the n points k/(n+1); read it at i and at j
-    terms = qm.taylor(np.arange(1, n + 1) / (n + 1), 4 if order == 2 else 6)
+    terms = qm.taylor(np.arange(1, n + 1) / (n + 1))
     table = np.array([np.broadcast_to(t, (n,)) for t in terms])
     gi, gj = table[:, np.asarray(i) - 1], table[:, np.asarray(j) - 1]
 

@@ -25,7 +25,7 @@ import numpy as np
 from .capacity import (SetFunction, chain_table, inverse_binomials, ranked_zeta,
                        subset_sizes)
 from .divdiff import tp_dd_sum
-from .moments import mean, moments_report, second_raw_moment
+from .moments import mean, second_raw_moment
 from .osmoments import UniformOrderStats
 
 
@@ -91,7 +91,3 @@ def closed_form_mean(g: SetFunction) -> float:
 def closed_form_second_moment(g: SetFunction) -> float:
     """E[Y^2] under uniform inputs: the spacing route on the exact record."""
     return second_raw_moment(g, UniformOrderStats(g.n))
-
-
-def closed_form_sd(g: SetFunction) -> float:
-    return moments_report(g, UniformOrderStats(g.n)).sd

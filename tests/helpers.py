@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate, special, stats
+from scipy import integrate, stats
 
 from choquet_dist.capacity import chain_table
 from choquet_dist.exponential import C_DISTINCT_RTOL, RegularityError
@@ -347,32 +347,6 @@ def spacing_moments(g, stats) -> tuple[float, float]:
             w = 2.0 * P[s, t] if s < t else sq[t]
             second += w / (math.comb(t, s) * math.comb(n, t)) * d2(s, t)
     return first, second
-
-
-def normal_step_limits(c) -> tuple[float, float]:
-    """alpha and beta^2 under the standard normal law of the step weight
-    function J = c[i-1] on ((i-1)/n, i/n], i = 1..n, piece by piece in x.
-
-    On piece i, x runs over (z_{i-1}, z_i] with z_i = Phi^{-1}(i/n), so
-    alpha is closed-form from int x phi dx = -phi, and K(y) = int^y J Phi dx
-    from int_{-inf}^{y} Phi = y Phi(y) + phi(y); beta^2 is then one 1-D
-    adaptive quadrature per piece.
-    """
-    c = np.asarray(c, dtype=float)
-    n = c.size
-    z = np.concatenate([[-np.inf], special.ndtri(np.arange(1, n) / n), [np.inf]])
-    phi = lambda x: 0.0 if np.isinf(x) else math.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
-    primitive = lambda y: 0.0 if y == -np.inf else y * special.ndtr(y) + phi(y)
-    al = sum(c[i] * (phi(z[i]) - phi(z[i + 1])) for i in range(n))
-    b2, k0 = 0.0, 0.0
-    for i in range(n):
-        lo, hi = z[i], z[i + 1]
-        K = lambda y: k0 + c[i] * (primitive(y) - primitive(lo))
-        b2 += 2.0 * c[i] * integrate.quad(lambda y: special.ndtr(-y) * K(y), lo, hi,
-                                          epsabs=1e-14, epsrel=1e-13, limit=200)[0]
-        if np.isfinite(hi):
-            k0 = K(hi)
-    return float(al), float(b2)
 
 
 # ---------------------------------------------------------------------------

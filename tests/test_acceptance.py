@@ -15,7 +15,7 @@ from scipy import integrate
 from choquet_dist import (ExponentialChoquetDist, UniformChoquetDist,
                           UniformOrderStats, WeightFunction, alpha, beta2,
                           closed_form_mean, closed_form_second_moment,
-                          is_regular, ks_statistic, make_game, mixture_approx,
+                          ks_statistic, make_game, mixture_approx,
                           orness, power_weight_game, provider_for,
                           random_capacity, tp_minus_dd, tp_plus_dd)
 from choquet_dist.moments import mean as general_mean
@@ -24,7 +24,7 @@ from choquet_dist.montecarlo import sample_values
 
 from conftest import REF_VALUES
 from helpers import (plus_full_degree_recurrence, random_distinct_knots,
-                     rational_dd_with_scale)
+                     rational_dd_with_scale, walk_is_regular)
 
 
 def _ref():
@@ -127,7 +127,7 @@ def test_criterion_6_density_normalization():
         val = integrate.quad(d.pdf, 0, 1, points=knots,
                              limit=50 + 10 * len(knots), epsabs=1e-10)[0]
         worst_u = max(worst_u, abs(val - 1.0))
-        if is_regular(g):
+        if walk_is_regular(g):
             dist = ExponentialChoquetDist(g)
             hi = 50 * float(np.max(dist.scales))
             val = integrate.quad(dist.pdf, 0, hi, limit=300, epsabs=1e-9)[0]

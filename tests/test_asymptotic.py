@@ -14,9 +14,10 @@ from choquet_dist.osmoments import (LAWS, exponential_quantile_model,
 from choquet_dist.asymptotic import _GL_S, _GL_W, _GL_X, PanelRule
 from choquet_dist.montecarlo import sample_values
 
-from helpers import chain_walk, component_stats, game_kinds, normal_step_limits, table_walk
+from helpers import chain_walk, component_stats, game_kinds, table_walk
 
 POWERS = (0.25, 0.5, 1.0, 2.0, 3.0)
+ONE = WeightFunction(np.ones_like)  # J = 1: the sample mean
 
 
 def _chain_weights(g, sigma):
@@ -31,10 +32,9 @@ def test_alpha_power_uniform():
 
 
 def test_alpha_constant_means():
-    one = WeightFunction.constant()
-    assert alpha(one, uniform_quantile_model()) == pytest.approx(0.5, rel=1e-14)
-    assert alpha(one, exponential_quantile_model()) == pytest.approx(1.0, rel=1e-14)
-    assert alpha(one, normal_quantile_model()) == pytest.approx(0.0, abs=1e-15)
+    assert alpha(ONE, uniform_quantile_model()) == pytest.approx(0.5, rel=1e-14)
+    assert alpha(ONE, exponential_quantile_model()) == pytest.approx(1.0, rel=1e-14)
+    assert alpha(ONE, normal_quantile_model()) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_beta2_power_uniform():
@@ -44,18 +44,18 @@ def test_beta2_power_uniform():
 
 
 def test_beta2_constant_uniform():
-    assert beta2(WeightFunction.constant(), uniform_quantile_model()) == pytest.approx(
+    assert beta2(ONE, uniform_quantile_model()) == pytest.approx(
         1 / 12, rel=1e-14)
 
 
 def test_beta2_constant_exponential():
     # the sample mean of exponentials has variance 1/n, so n Var -> 1
-    assert beta2(WeightFunction.constant(), exponential_quantile_model()) == pytest.approx(
+    assert beta2(ONE, exponential_quantile_model()) == pytest.approx(
         1.0, rel=1e-14)
 
 
 def test_beta2_constant_normal():
-    assert beta2(WeightFunction.constant(), normal_quantile_model()) == pytest.approx(
+    assert beta2(ONE, normal_quantile_model()) == pytest.approx(
         1.0, rel=1e-14)
 
 
@@ -113,26 +113,8 @@ def test_limits_report_step_without_breaks(qm):
         beta2(step, qm)
 
 
-def test_limits_of_chain_step_against_piecewise_oracle(ref_capacity):
-    qm = normal_quantile_model()
-    for g, sigma in ((power_weight_game(5, 2.0), (1, 2, 3, 4, 5)),
-                     (ref_capacity, (2, 3, 1))):
-        J = WeightFunction.from_weights(_chain_weights(g, sigma))
-        n = g.n
-        assert J.breaks == tuple(i / n for i in range(1, n))
-        want_alpha, want_beta2 = normal_step_limits(J((np.arange(n) + 0.5) / n))
-        assert alpha(J, qm) == pytest.approx(want_alpha, rel=1e-12, abs=1e-14)
-        assert beta2(J, qm) == pytest.approx(want_beta2, rel=1e-12)
-
-
 def test_weight_functions_take_arrays():
     u = np.array([[0.05, 0.2], [0.5, 0.99]])
-    const = WeightFunction.constant(2.0)(u)
-    assert const.shape == u.shape and np.all(const == 2.0)
-    J = WeightFunction.from_weights(_chain_weights(power_weight_game(5, 2.0), (1, 2, 3, 4, 5)))
-    got = J(u)
-    assert got.shape == u.shape
-    assert [float(J(v)) for v in u.ravel()] == got.ravel().tolist()
     np.testing.assert_allclose(WeightFunction.power(2)(u), u ** 2)
 
 
@@ -156,19 +138,12 @@ def test_power_weight_game_is_symmetric_with_stated_weights():
 
 
 def test_power_weight_rejects_bad_exponent():
-    with pytest.raises(ValueError):
-        power_weight_game(3, 0.0)
-
-
-def test_step_weight_function_reproduces_grid():
-    g = power_weight_game(5, 2.0)
-    weights = _chain_weights(g, (1, 2, 3, 4, 5))
-    J = WeightFunction.from_weights(weights)
-    n = 5
-    for i in range(1, n + 1):
-        want = n * weights[n - i]
-        assert J(i / n) == pytest.approx(want, rel=1e-12)
-        assert J(i / n) == pytest.approx((i / n) ** 2, rel=1e-12)
+    # u^inf is 0 on [0, 1) and the game's steps collapse to (1/n, 0, .., 0),
+    # so an infinite exponent would give alpha = beta^2 = 0 without a word
+    for a in (0.0, -1.0, math.inf, -math.inf, math.nan):
+        for build in (WeightFunction.power, lambda a: power_weight_game(5, a)):
+            with pytest.raises(ValueError, match="exponent must be finite and strictly positive"):
+                build(a)
 
 
 def test_mixture_symmetric_collapses_to_one_component():

@@ -332,6 +332,20 @@ def test_load_capacity_refuses_a_subset_given_twice(tmp_path, form):
         load_capacity(path)
 
 
+@pytest.mark.parametrize("text", ["5", "null", '["n", "values"]', '"n values"'])
+def test_load_capacity_refuses_a_document_that_is_not_an_object(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(CapacityFormatError, match="must be an object"):
+        load_capacity(path)
+
+
+def test_game_from_dict_refuses_non_string_keys():
+    for key in (1, (1,), None):
+        with pytest.raises(CapacityFormatError, match="must be a string"):
+            game_from_dict({"n": 1, "values": {key: 0.5}})
+
+
 def test_load_capacity_key_errors(tmp_path):
     path = tmp_path / "bad.json"
     for key, message in (("1;2", "bad subset key"), ("2,1", "ascending"),

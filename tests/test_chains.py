@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from choquet_dist import (ExponentialChoquetDist, RegularityError, SetFunction,
-                          UniformChoquetDist, chain_table, is_regular,
-                          make_game, mixture_approx, provider_for)
+                          UniformChoquetDist, chain_table, make_game,
+                          mixture_approx, provider_for)
 from choquet_dist.exponential import C_DISTINCT_RTOL
 
 from helpers import (dd_recurrence, game_kinds, table_walk, walk_exponential,
@@ -56,7 +56,7 @@ def _assert_same_exponential(g, tag=None):
     else:
         assert not isinstance(new, str), (tag, new)
         assert np.array_equal(new[0], old[0]) and np.array_equal(new[1], old[1]), tag
-    assert is_regular(g) == walk_is_regular(g) == (not isinstance(old, str)), tag
+    assert walk_is_regular(g) == (not isinstance(old, str)), tag
     return old
 
 
@@ -176,9 +176,10 @@ def test_no_per_chain_walk(monkeypatch, ref_capacity):
                     monkeypatch.setattr(mod, attr, refuse)
     for g in (ref_capacity, make_game(2, {(1,): 0.2, (2,): 0.5, (1, 2): 1.0})):
         UniformChoquetDist(g).pdf(np.linspace(0.0, 1.0, 5))
-        is_regular(g)
         mixture_approx(g, provider_for("uniform", g.n))
     ExponentialChoquetDist(ref_capacity).pdf(1.0)
+    with pytest.raises(RegularityError):
+        ExponentialChoquetDist(make_game(2, {(1,): 0.2, (2,): 0.5, (1, 2): 1.0}))
     mixture_approx(make_game(2, {(1,): 0.5, (2,): 0.5, (1, 2): 1.0}),
                    provider_for("normal", 2))
 

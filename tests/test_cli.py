@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from choquet_dist import (ExponentialChoquetDist, closed_form_mean, closed_form_sd,
+from choquet_dist import (ExponentialChoquetDist, UniformOrderStats, closed_form_mean,
                           ks_statistic, moments_report, power_weight_game,
                           random_capacity, save_capacity)
 from choquet_dist.cli import build_parser, main, parse_grid
@@ -87,6 +87,7 @@ def test_validate_schema_error(tmp_path, capsys):
     {"n": 2, "values": {"1": None, "2": 0.5, "1,2": 1.0}},
     {"n": 2, "values": {"1": "0.5", "2": 0.5, "1,2": 1.0}},
     {"n": 2, "values": {"1": True, "2": 0.5, "1,2": 1.0}},
+    5, None, ["n", "values"], "n values",
 ])
 def test_validate_rejects_malformed_json(tmp_path, capsys, doc):
     path = tmp_path / "malformed.json"
@@ -132,7 +133,7 @@ def test_moments_above_enumeration_cap(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["mean"] == pytest.approx(closed_form_mean(g), abs=1e-10)
-    assert doc["sd"] == pytest.approx(closed_form_sd(g), abs=1e-10)
+    assert doc["sd"] == pytest.approx(moments_report(g, UniformOrderStats(11)).sd, abs=1e-10)
     code, _, err = run_cli(capsys, "pdf", "--law", "uniform", "--capacity", str(path),
                            "--grid", "0:1:5")
     assert code == 2
@@ -285,6 +286,13 @@ def test_stigler_defaults_to_uniform(capsys):
     default = run_cli(capsys, "stigler", "--a", "2", "--n", "20")
     assert default == run_cli(capsys, "stigler", "--a", "2", "--n", "20", "--law", "uniform")
     assert default[0] == 0
+
+
+@pytest.mark.parametrize("a", ["inf", "nan", "0", "-1"])
+def test_stigler_refuses_an_exponent_that_is_not_finite_and_positive(capsys, a):
+    code, out, err = run_cli(capsys, "stigler", "--a", a, "--n", "5")
+    assert code == 2 and out == ""
+    assert "exponent must be finite and strictly positive" in err
 
 
 def test_sample_round_trip(tmp_path, capsys):

@@ -5,13 +5,13 @@ import pytest
 from scipy import integrate
 
 from choquet_dist import (ExponentialChoquetDist, RegularityError, SetFunction,
-                          chain_table, exp_moments, is_regular, make_game,
+                          chain_table, exp_moments, make_game,
                           power_weight_game, random_capacity)
 from choquet_dist import exponential
 from choquet_dist.exponential import CANCELLATION_TOL, chain_coeffs
 from choquet_dist.montecarlo import ks_statistic, sample_values
 
-from helpers import game_kinds
+from helpers import game_kinds, walk_is_regular
 
 EPS = np.finfo(float).eps
 
@@ -40,7 +40,6 @@ def test_n1_scaled():
 def test_min_capacity_rejected():
     with pytest.raises(RegularityError, match="not positive"):
         ExponentialChoquetDist(_min_capacity(3))
-    assert not is_regular(_min_capacity(3))
 
 
 def test_min_capacity_via_monte_carlo():
@@ -212,7 +211,8 @@ def test_arithmetic_mean_capacity_is_irregular():
     # exponentials is Gamma-distributed, not a distinct-scale mixture)
     n = 3
     g = make_game(n, {s: len(s) / n for s in _all_nonempty(n)})
-    assert not is_regular(g)
+    with pytest.raises(RegularityError, match="coincide"):
+        ExponentialChoquetDist(g)
 
 
 def test_max_capacity_collapses_to_single_chain():
@@ -240,7 +240,7 @@ def test_random_regular_capacities_normalize(rng):
     done = 0
     while done < 4:
         g = random_capacity(int(rng.integers(2, 5)), rng)
-        if not is_regular(g):
+        if not walk_is_regular(g):
             continue
         dist = ExponentialChoquetDist(g)
         hi = 50 * float(np.max(dist.scales))

@@ -44,10 +44,9 @@ def test_norm_ppf_domain():
 def test_normal_quantile_model_center_values():
     qm = normal_quantile_model()
     assert qm.quantile(0.5) == 0.0
-    g = qm.taylor(0.5, 4)
-    assert len(g) == 5 and g[0] == 0.0
-    assert g[2] == 0.0
-    assert g[4] == 0.0
+    g = qm.taylor(0.5)
+    assert len(g) == 7 and g[0] == 0.0
+    assert g[2] == g[4] == g[6] == 0.0
     assert g[1] == pytest.approx(SQRT_2PI, rel=1e-14)
     assert g[3] == pytest.approx(SQRT_2PI**3, rel=1e-13)
 
@@ -56,7 +55,7 @@ def test_normal_quantile_derivatives_vs_finite_differences():
     qm = normal_quantile_model()
     h = 1e-5
     for u in (0.2, 0.43, 0.71, 0.9):
-        g, up, down = qm.taylor(u, 6), qm.taylor(u + h, 6), qm.taylor(u - h, 6)
+        g, up, down = qm.taylor(u), qm.taylor(u + h), qm.taylor(u - h)
         assert g[0] == qm.quantile(u)
         fd1 = (qm.quantile(u + h) - qm.quantile(u - h)) / (2 * h)
         assert g[1] == pytest.approx(fd1, rel=1e-8)
@@ -69,19 +68,10 @@ def test_exponential_quantile_model_derivatives():
     qm = exponential_quantile_model()
     u = 0.37
     assert qm.quantile(u) == pytest.approx(-math.log(1 - u))
-    g = qm.taylor(u, 6)
+    g = qm.taylor(u)
     assert g[0] == qm.quantile(u)
     for k in range(1, 7):
         assert g[k] == pytest.approx(math.factorial(k - 1) / (1 - u) ** k)
-
-
-def test_taylor_orders_zero_to_six_only():
-    for name in LAWS:
-        qm = law_for(name).quantile_model()
-        assert len(qm.taylor(0.3, 0)) == 1 and len(qm.taylor(0.3, 6)) == 7
-        for k in (-1, 7):
-            with pytest.raises(ValueError, match="Taylor order"):
-                qm.taylor(0.3, k)
 
 
 def test_dj_record_evaluates_the_quantile_once_per_call(monkeypatch):
@@ -287,7 +277,9 @@ def test_registry_models_cdf_pdf_support_match_quantile():
         qm = law_for(name).quantile_model()
         x = qm.quantile(u)
         np.testing.assert_allclose(qm.cdf(x), u, rtol=1e-13, err_msg=name)
-        G, G1 = qm.taylor(u, 1)
+        terms = qm.taylor(u)
+        assert len(terms) == 7, name
+        G, G1 = terms[:2]
         assert np.array_equal(G, x), name
         np.testing.assert_allclose(qm.pdf(x) * G1, 1.0, rtol=1e-10, err_msg=name)
         lo, hi = qm.support

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
+import re
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import permutations
@@ -81,9 +82,14 @@ class SetFunction:
         return float(self.values[mask_of(subset, self.n)])
 
     def level_sums(self) -> np.ndarray:
-        """sum of nu(T) over subsets of each cardinality; entry t is the level-t sum."""
-        sizes = subset_sizes(self.n)
-        return np.bincount(sizes, weights=self.values, minlength=self.n + 1)
+        """sum of nu(T) over subsets of each cardinality; entry t is the level-t sum.
+
+        Each level is summed pairwise, as one run of the values sorted by
+        size; no level is empty, so every run of the reduction is one level.
+        """
+        by_size = np.argsort(subset_sizes(self.n), kind="stable")
+        starts = np.cumsum([0] + [math.comb(self.n, t) for t in range(self.n)])
+        return np.add.reduceat(self.values[by_size], starts)
 
     def is_symmetric(self) -> bool:
         """True when nu(T) depends on |T| only: when every swap of adjacent
@@ -97,7 +103,7 @@ class SetFunction:
 
 def subset_sizes(n: int) -> np.ndarray:
     """Cardinality of the subset coded by each mask 0..2^n-1."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int64)
+    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int8)
 
 
 def lattice_halves(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -310,6 +316,9 @@ def random_capacity(n: int, rng: np.random.Generator) -> SetFunction:
 # ---------------------------------------------------------------------------
 
 
+_INDEX = re.compile("0|[1-9][0-9]*")  # ASCII digits, no leading zero; 0 fails the range check
+
+
 def _key_mask(key: str, n: int) -> int:
     """The mask of a subset key, parsed and checked in one pass."""
     if not isinstance(key, str):
@@ -320,7 +329,9 @@ def _key_mask(key: str, n: int) -> int:
     mask = 0
     for part in key.split(","):
         try:
-            i = int(part)
+            if not _INDEX.fullmatch(part):
+                raise ValueError(part)
+            i = int(part)  # past int()'s digit limit this raises too
         except ValueError:
             raise CapacityFormatError(f"bad subset key {key!r}") from None
         if not 1 <= i <= n:

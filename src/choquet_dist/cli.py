@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Subcommands: validate, moments, pdf, cdf, mixture, stigler, sample.  Numeric
-output uses 12 significant digits; tables go to CSV (stdout unless --out is
-given), scalar summaries to JSON on stdout.  Exit status is 0 on success and
+Subcommands: validate, moments, pdf, cdf, mixture, stigler, sample, orness.
+Numeric output uses 12 significant digits; tables go to CSV and scalar
+summaries to JSON, on stdout unless --out names a file for the table (for
+moments and stigler, for the JSON).  Exit status is 0 on success and
 2 for input/validation problems (schema violations, non-capacities where one
 is required, regularity failures, the n! chain cap, exponential cancellation).
 """
@@ -184,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_grid(sp):
         sp.add_argument("--grid", required=True, help="start:end:steps")
 
-    def add_out(sp):
-        sp.add_argument("--out", help="write CSV here instead of stdout")
+    def add_out(sp, kind="CSV"):
+        sp.add_argument("--out", help=f"write {kind} here instead of stdout")
 
     def add_dj_order(sp):
         sp.add_argument("--dj-order", type=int, choices=(2, 3), default=2,
@@ -196,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=cmd_validate)
 
     sp = sub.add_parser("moments", help="exact/approximate mean and sd")
-    add_capacity(sp); add_law(sp); add_dj_order(sp); add_out(sp)
+    add_capacity(sp); add_law(sp); add_dj_order(sp); add_out(sp, "JSON")
     sp.set_defaults(handler=cmd_moments)
 
     for name in ("pdf", "cdf"):
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, required=True, help="weight exponent, > 0")
     sp.add_argument("--n", type=int, required=True, help="number of inputs")
     sp.add_argument("--law", choices=tuple(LAWS), default="uniform")
-    add_dj_order(sp); add_out(sp)
+    add_dj_order(sp); add_out(sp, "JSON")
     sp.set_defaults(handler=cmd_stigler)
 
     sp = sub.add_parser("sample", help="Monte Carlo run; JSON summary, optional CSV")

@@ -19,8 +19,6 @@ import numpy as np
 from .capacity import SetFunction, choquet_values
 from .osmoments import law_for
 
-KS_STRIDES = (1024, 64, 8)  # sorted draws per segment, level by level, in ks_statistic
-
 
 @dataclass(frozen=True)
 class MCReport:
@@ -55,15 +53,14 @@ def ks_statistic(samples: np.ndarray, cdf: Callable) -> float:
     """sup_x |ECDF(x) - F(x)| over the sample points, both one-sided gaps.
 
     ``cdf`` is called on sorted subsets of the sample, at most
-    ``len(KS_STRIDES) + 1`` times.  The first call takes every
-    KS_STRIDES[0]-th order statistic and the largest, which cut the sorted
-    sample into segments with evaluated ends.  Each next call cuts the
-    segments into pieces of the next stride, drops the pieces whose draws
-    those ends bound below the best gap found, and evaluates the ends of the
-    rest; the last call evaluates every draw whose own bound still reaches
-    the best gap.  For a nondecreasing cdf the result is the one evaluating
-    every draw gives; otherwise it can be lower by at most the callable's
-    largest decrease.  A NaN sample is refused; +-inf is allowed.
+    ceil(log2(m - 1)) + 1 times for m draws.  The first call takes the
+    smallest and the largest draw, the ends of one segment of the sorted
+    sample.  Each next call takes the midpoints of the segments whose draws
+    their evaluated ends cannot bound below the best gap found, and splits
+    those segments there, until no segment is left.  For a nondecreasing cdf
+    the result is the one evaluating every draw gives; otherwise it can be
+    lower by at most the callable's largest decrease.  A NaN sample is
+    refused; +-inf is allowed.
     """
     xs = np.sort(np.asarray(samples, dtype=float))
     m = xs.size
@@ -78,35 +75,23 @@ def ks_statistic(samples: np.ndarray, cdf: Callable) -> float:
 
     def evaluate(idx):
         nonlocal best
-        if idx.size:
-            v = np.asarray(cdf(xs[idx]), dtype=float)
-            if v.shape != idx.shape:
-                raise ValueError("the cdf must return one value per sample")
-            f[idx] = v
-            best = np.maximum(best, np.max(np.maximum(upper(idx) - v, v - lower(idx))))
+        v = np.asarray(cdf(xs[idx]), dtype=float)
+        if v.shape != idx.shape:
+            raise ValueError("the cdf must return one value per sample")
+        f[idx] = v
+        best = np.maximum(best, np.max(np.maximum(upper(idx) - v, v - lower(idx))))
 
     # a draw a < i < b has F(x_a) <= F(x_i) <= F(x_b), which bounds its gap
-    # by max(upper(i) - F(x_a), F(x_b) - lower(i)); the slack below covers a
-    # cdf that rounding makes dip slightly
-    a = np.arange(0, m - 1, KS_STRIDES[0])  # segments [a, b] with both ends evaluated
-    b = np.minimum(a + KS_STRIDES[0], m - 1)
-    evaluate(np.append(a, m - 1))
-    for stride, finer in zip(KS_STRIDES, KS_STRIDES[1:]):
-        # cut each segment into pieces c <= i < d of the finer stride, keep the
-        # pieces whose draws the segment's ends cannot bound below best, and
-        # evaluate the ends of the kept pieces
-        c = a[:, None] + np.arange(0, stride, finer)
-        d = np.minimum(c + finer, b[:, None])
-        inside = c < d
-        kept = inside & (np.maximum(upper(d - 1) - f[a, None], f[b, None] - lower(c))
-                         >= best - 1e-12)
-        ends = kept.copy()
-        ends[:, 1:] |= kept[:, :-1]  # a kept piece ends where the next starts
-        ends[:, 0] = False  # the segment's own start is evaluated already
-        evaluate(c[ends & inside])
-        a, b = c[kept], d[kept]
-    i = a[:, None] + np.arange(1, KS_STRIDES[-1])
-    fa, fb = f[a, None], f[b, None]
-    evaluate(i[(i < b[:, None])
-               & (np.maximum(upper(i) - fa, fb - lower(i)) >= best - 1e-12)])
-    return float(best)
+    # by max(upper(b - 1) - F(x_a), F(x_b) - lower(a + 1)); the slack below
+    # covers a cdf that rounding makes dip slightly
+    a, b = np.array([0]), np.array([m - 1])  # segments [a, b] with both ends evaluated
+    evaluate(np.append(a, b))
+    while True:
+        kept = (b - a > 1) & (np.maximum(upper(b - 1) - f[a], f[b] - lower(a + 1))
+                              >= best - 1e-12)
+        if not kept.any():
+            return float(best)
+        a, b = a[kept], b[kept]
+        mid = (a + b) // 2
+        evaluate(mid)
+        a, b = np.stack([a, mid], 1).ravel(), np.stack([mid, b], 1).ravel()

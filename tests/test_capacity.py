@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,7 @@ from choquet_dist import (CapacityFormatError, SetFunction, chain_table,
                           check_capacity, choquet, choquet_values, enumerate_chains,
                           load_capacity, make_game, orness, power_weight_game,
                           random_capacity, save_capacity)
-from choquet_dist.capacity import game_from_dict, game_to_dict
+from choquet_dist.capacity import _key_mask, game_from_dict, game_to_dict
 
 from helpers import brute_choquet, brute_random_capacity, chain_walk, game_kinds
 from conftest import DUPLICATE_SUBSET_JSON, REF_VALUES
@@ -348,9 +350,36 @@ def test_game_from_dict_refuses_non_string_keys():
 
 def test_load_capacity_key_errors(tmp_path):
     path = tmp_path / "bad.json"
+    # int() would read "1_0" as 10, "+2" and "01" as 2 and 1, and the
+    # Arabic-Indic "\u0661" and "1\u0663" as 1 and 13; the schema takes none
     for key, message in (("1;2", "bad subset key"), ("2,1", "ascending"),
-                         ("1,1", "ascending"), ("0", "outside"), ("1,3", "outside")):
+                         ("1,1", "ascending"), ("0", "outside"), ("1,3", "outside"),
+                         ("1_0", "bad subset key"), ("+2", "bad subset key"),
+                         ("01", "bad subset key"), ("-1", "bad subset key"),
+                         ("1, 2", "bad subset key"), ("\u0661", "bad subset key"),
+                         ("1\u0663", "bad subset key")):
         doc = {"n": 2, "values": {key: 0.5, "1": 0.5, "2": 0.5, "1,2": 1.0}}
         path.write_text(json.dumps(doc))
         with pytest.raises(CapacityFormatError, match=message):
             load_capacity(path)
+
+
+def test_every_accepted_key_matches_the_schema():
+    # every string of up to four characters from an alphabet of digits,
+    # separators, signs, spaces and non-ASCII digits: what the parser takes,
+    # once stripped, is what docs/capacity_schema.json's key patterns take
+    schema = json.loads((Path(__file__).parent.parent / "docs" / "capacity_schema.json")
+                        .read_text(encoding="utf-8"))
+    patterns = list(schema["properties"]["values"]["patternProperties"])
+    alphabet = "0129,_+- \u0661\u2205"
+    accepted = set()
+    for size in range(5):
+        for chars in itertools.product(alphabet, repeat=size):
+            key = "".join(chars)
+            try:
+                _key_mask(key, 12)
+            except CapacityFormatError:
+                continue
+            accepted.add(key)
+            assert any(re.search(p, key.strip()) for p in patterns), key
+    assert {"", "\u2205", " 1 ", "12", "1,2", "1,12", "2,9"} <= accepted

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from choquet_dist import (ExponentialOrderStats, SetFunction, UniformOrderStats,
-                          make_game, moments_report, provider_for,
+                          make_game, moments_report, power_weight_game, provider_for,
                           random_capacity)
 from choquet_dist.capacity import subset_sizes
 from choquet_dist.moments import mean, nested_pair_level_sums, second_raw_moment
@@ -152,6 +153,21 @@ def test_uniform_sd_matches_exact_rational_moments():
         rep = moments_report(g, UniformOrderStats(9))
         assert rep.mean == pytest.approx(float(m1), rel=1e-15, abs=0.0), k
         assert rep.sd == pytest.approx(math.sqrt(var), rel=1e-15, abs=0.0), k
+
+
+@pytest.mark.parametrize("n, a", [(16, 0.5), (16, 2.0), (20, 0.5)])
+def test_uniform_moments_of_a_symmetric_game_match_the_rational_level_form(n, a):
+    # a symmetric game is Y = sum_t l_t D_t over the Dirichlet(1, ..., 1)
+    # spacings: mean sum l / (n+1), variance ((n+1) sum l^2 - (sum l)^2) /
+    # ((n+1)^2 (n+2)); one-at-a-time level sums missed both by up to 7.3e-13
+    g = power_weight_game(n, a)
+    levels = [Fraction(v) for v in g.values[(1 << np.arange(n + 1)) - 1].tolist()]
+    total, squares = sum(levels), sum(v * v for v in levels)
+    m1 = total / (n + 1)
+    var = ((n + 1) * squares - total * total) / ((n + 1) ** 2 * (n + 2))
+    rep = moments_report(g, UniformOrderStats(n))
+    assert rep.mean == pytest.approx(float(m1), rel=1e-15, abs=0.0)
+    assert rep.variance == pytest.approx(float(var), rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("n", [6, 9])

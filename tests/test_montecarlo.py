@@ -6,7 +6,6 @@ import pytest
 from choquet_dist import (ExponentialChoquetDist, UniformChoquetDist, choquet_values,
                           ks_statistic, make_game, mixture_approx, mixture_cdf,
                           provider_for, random_capacity, sample, sample_values)
-from choquet_dist.montecarlo import KS_STRIDES
 from choquet_dist.moments import mean as general_mean
 from choquet_dist.normal import norm_ppf
 from choquet_dist.osmoments import LAWS
@@ -115,8 +114,8 @@ def test_ks_statistic_matches_full_evaluation_on_a_mixture():
     counted = CountingCdf(lambda x: mixture_cdf(mix, x))
     ks = ks_statistic(ys, counted)
     assert abs(ks - full_ks_statistic(ys, lambda x: mixture_cdf(mix, x))) <= 1e-15
-    assert counted.calls <= len(KS_STRIDES) + 1
-    assert counted.points <= 0.02 * ys.size
+    assert counted.calls <= math.ceil(math.log2(ys.size - 1)) + 1
+    assert counted.points <= 0.01 * ys.size
 
 
 @pytest.mark.parametrize("law, dist", [("uniform", UniformChoquetDist),
@@ -136,8 +135,8 @@ POINTWISE_CDFS = {"clip": lambda x: np.clip(x, 0.0, 1.0),
 
 @pytest.mark.parametrize("cdf", list(POINTWISE_CDFS))
 @pytest.mark.parametrize("m", sorted({2, 3, 31, 32, 33, 65, 1000, 100_000}
-                                    | {k for s in KS_STRIDES
-                                       for k in (s - 1, s, s + 1, 2 * s + 1)}))
+                                    | {j for k in (3, 6, 10)  # where bisection splits
+                                       for j in (2**k - 1, 2**k, 2**k + 1, 2**(k + 1) + 1)}))
 @pytest.mark.parametrize("kind", ["draws", "ties", "constant"])
 def test_ks_statistic_equals_full_evaluation_for_pointwise_cdfs(cdf, m, kind):
     ys = np.random.default_rng(m).normal(0.5, 0.6, m)

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .capacity import SetFunction, chain_table, in_row_blocks, subset_sizes
+from .capacity import SetFunction, at_points, chain_table, subset_sizes
 from .normal import norm_cdf, norm_pdf
 from .osmoments import OrderStats, QuantileModel
 
@@ -197,11 +197,9 @@ def _mixture(m: MixtureApprox, y, kernel):
     if np.any(m.variances <= 0.0):
         raise ValueError("a mixture component has nonpositive variance; "
                          "use the exact distribution instead")
-    ya = np.asarray(y, dtype=float)
     sd = np.sqrt(m.variances)
-    out = in_row_blocks(lambda yb: kernel((yb[:, None] - m.means) / sd, sd) @ m.weights,
-                        ya.ravel(), m.weights.size)
-    return float(out[0]) if ya.ndim == 0 else out.reshape(ya.shape)
+    return at_points(lambda yb: kernel((yb[:, None] - m.means) / sd, sd) @ m.weights,
+                     y, m.weights.size)
 
 
 def power_weight_game(n: int, a: float) -> SetFunction:

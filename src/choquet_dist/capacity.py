@@ -24,7 +24,7 @@ import numpy as np
 CHAIN_N_MAX = 10  # 10! = 3,628,800 rows; 11! would take ~6 GB
 NORMALIZATION_TOL = 1e-12
 MONOTONICITY_SLACK = 1e-12
-BLOCK_ELEMENTS = 1 << 18  # elements of one (rows, width) temporary of a per-point evaluator
+BLOCK_ELEMENTS = 1 << 14  # elements of one (rows, width) temporary of a blocked evaluator
 
 
 class CapacityFormatError(ValueError):
@@ -82,14 +82,8 @@ class SetFunction:
         return float(self.values[mask_of(subset, self.n)])
 
     def level_sums(self) -> np.ndarray:
-        """sum of nu(T) over subsets of each cardinality; entry t is the level-t sum.
-
-        Each level is summed pairwise, as one run of the values sorted by
-        size; no level is empty, so every run of the reduction is one level.
-        """
-        by_size = np.argsort(subset_sizes(self.n), kind="stable")
-        starts = np.cumsum([0] + [math.comb(self.n, t) for t in range(self.n)])
-        return np.add.reduceat(self.values[by_size], starts)
+        """sum of nu(T) over subsets of each cardinality; entry t is the level-t sum."""
+        return sum_levels(self.values, self.n)
 
     def is_symmetric(self) -> bool:
         """True when nu(T) depends on |T| only: when every swap of adjacent
@@ -102,8 +96,21 @@ class SetFunction:
 
 
 def subset_sizes(n: int) -> np.ndarray:
-    """Cardinality of the subset coded by each mask 0..2^n-1."""
-    return np.bitwise_count(np.arange(1 << n, dtype=np.uint64)).astype(np.int8)
+    """Cardinality of the subset coded by each mask 0..2^n-1, as int8, built
+    a byte at a time: the counts of the high bits added to those of the low 8."""
+    if n <= 8:
+        return np.bitwise_count(np.arange(1 << n, dtype=np.uint8)).astype(np.int8)
+    return np.add.outer(subset_sizes(n - 8), subset_sizes(8)).ravel()
+
+
+def sum_levels(a: np.ndarray, n: int) -> np.ndarray:
+    """Sums of a over the masks of each cardinality 0..n, along its last axis:
+    each level pairwise, as one run of a row sorted by size (no level is
+    empty); row by row, as sorting a whole ranked array costs more in fresh pages."""
+    by_size = np.argsort(subset_sizes(n), kind="stable")
+    starts = np.cumsum([0] + [math.comb(n, t) for t in range(n)])
+    rows = [np.add.reduceat(row[by_size], starts) for row in a.reshape(-1, 1 << n)]
+    return np.reshape(rows, (*a.shape[:-1], n + 1))
 
 
 def lattice_halves(a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
@@ -266,7 +273,8 @@ def in_row_blocks(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                   width: int) -> np.ndarray:
     """fn of consecutive row slices of x, written into one 1-D output of
     len(x) values: fn maps a slice of r rows to r values through temporaries
-    of (r, width) elements.
+    of (r, width) elements, at most BLOCK_ELEMENTS (128 KiB of float64, within
+    a core's cache): the one budget of every blocked evaluator.
 
     A slice has BLOCK_ELEMENTS // width rows, rounded down to a power of two
     (BLAS sums the rows of ``A @ w`` in groups, and a power of two keeps every
@@ -277,6 +285,15 @@ def in_row_blocks(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     for start in range(0, len(x), rows):
         out[start:start + rows] = fn(x[start:start + rows])
     return out
+
+
+def at_points(fn: Callable[[np.ndarray], np.ndarray], y, width: int):
+    """fn at every point of y (a scalar or any array) by :func:`in_row_blocks`
+    on the flat points, fn mapping a block of points to one value each: an
+    array of y's shape, or a float for a 0-d y."""
+    ya = np.asarray(y, dtype=float)
+    out = in_row_blocks(fn, ya.ravel(), width).reshape(ya.shape)
+    return float(out) if ya.ndim == 0 else out
 
 
 def choquet_values(g: SetFunction, x: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-BLOCK = 1 << 14  # (row, y) pairs per pass of the recurrence
+from .capacity import BLOCK_ELEMENTS
 
 
 def _as_knots(knots) -> np.ndarray:
@@ -69,7 +69,7 @@ def tp_dd_sum(table, y, minus: bool):
     ya = np.asarray(y, dtype=float)
     flat = ya.ravel()
     total = np.zeros(flat.size)
-    step = max(1, BLOCK // max(flat.size, 1))
+    step = max(1, BLOCK_ELEMENTS // max(flat.size, 1))  # rows of one pass
     for start in range(0, len(ks), step):
         rows = ks[start:start + step]
         # knots strictly below y (a NaN y counts as above all, then gets NaN)

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .capacity import SetFunction, chain_table, in_row_blocks
+from .capacity import SetFunction, at_points, chain_table
 from .moments import moments_report
 from .osmoments import ExponentialOrderStats
 
@@ -27,10 +27,6 @@ CANCELLATION_TOL = 1e-5
 
 class RegularityError(ValueError):
     """A chain's exponential-mixture coefficients are degenerate."""
-
-    def __init__(self, message, sigma=None):
-        super().__init__(message)
-        self.sigma = sigma
 
 
 def chain_coeffs(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,7 +53,7 @@ def _irregularity(sigma: tuple[int, ...], c: np.ndarray) -> RegularityError:
         j = np.flatnonzero(close)[0]
         problem = f"c_{i[j] + 1} and c_{k[j] + 1} coincide at {c[i[j]]:g}"
     return RegularityError(f"chain of sigma={sigma}: {problem}; the exponential closed form "
-                           "does not apply (perturb nu or use Monte Carlo)", sigma=sigma)
+                           "does not apply (perturb nu or use Monte Carlo)")
 
 
 class ExponentialChoquetDist:
@@ -114,12 +110,11 @@ class ExponentialChoquetDist:
     def _sum(self, y, reduce):
         """reduce(exp(-y / scales)) at each y >= 0 and 0 at each y < 0, a
         block of points at a time."""
-        ya = np.asarray(y, dtype=float)
-        pos = np.maximum(ya, 0.0).ravel()  # negative y contributes 0; avoid exp overflow
-        vals = in_row_blocks(lambda p: reduce(np.exp(-np.divide.outer(p, self.scales))),
-                             pos, self.scales.size)
-        out = np.where(ya < 0.0, 0.0, vals.reshape(ya.shape))
-        return float(out) if ya.ndim == 0 else out
+        def block(yb):
+            pos = np.maximum(yb, 0.0)  # negative y contributes 0; avoid exp overflow
+            return np.where(yb < 0.0, 0.0, reduce(np.exp(-np.divide.outer(pos, self.scales))))
+
+        return at_points(block, y, self.scales.size)
 
 
 def exp_moments(g: SetFunction) -> tuple[float, float]:

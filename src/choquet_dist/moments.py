@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import (SetFunction, inverse_binomials, ranked_zeta, require_capacity,
-                       subset_sizes)
+                       subset_sizes, sum_levels)
 from .osmoments import OrderStats, UniformOrderStats
 
 
@@ -37,12 +37,9 @@ def nested_pair_level_sums(g: SetFunction) -> np.ndarray:
     """P[s, t] = sum of nu(T1) nu(T2) over strict nestings T1 < T2 with
     |T1| = s, |T2| = t; the ranked zeta transform of nu, weighted by nu(T2)
     and summed over each level |T2| = t, then kept above the diagonal."""
-    n = g.n
-    sizes = subset_sizes(n)
-    z = ranked_zeta(g.values, n)
+    z = ranked_zeta(g.values, g.n)
     z *= g.values
-    P = np.stack([np.bincount(sizes, weights=row, minlength=n + 1) for row in z])
-    return np.triu(P, k=1)
+    return np.triu(sum_levels(z, g.n), k=1)
 
 
 def _level_means(g: SetFunction) -> np.ndarray:
@@ -57,7 +54,7 @@ def _chain_record(g: SetFunction) -> tuple[np.ndarray, np.ndarray]:
     n, sizes, inv = g.n, subset_sizes(g.n), inverse_binomials(g.n)
     a = _level_means(g)
     h = SetFunction(n, g.values - np.append(0.0, a)[sizes])
-    sq = np.bincount(sizes, weights=h.values**2, minlength=n + 1)
+    sq = sum_levels(h.values**2, n)
     upper = (nested_pair_level_sums(h) + np.diag(sq / 2.0))[1:, 1:] * inv[1:, 1:] * inv[1:, n]
     return a, upper + upper.T
 

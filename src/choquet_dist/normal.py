@@ -3,10 +3,11 @@
 The cdf is 1/2 erfc(-x/sqrt 2), with erf and erfc from Cody's rational
 Chebyshev approximations (Math. Comp. 23, 1969, 631-637; the CALERF set). The
 quantile is Wichura's AS241 (PPND16; Appl. Statist. 37, 1988, 477-484). Both
-walk their input in blocks of BLOCK elements, so that every temporary stays
-small whatever the input size, and evaluate their rational functions by
-Horner steps in place. Each element takes the same operations whatever block
-or call holds it, so a value does not depend on the array around it.
+walk their input in blocks through :func:`~choquet_dist.capacity.at_points`,
+so that every temporary stays small whatever the input size, and evaluate
+their rational functions by Horner steps in place. Each element takes the
+same operations whatever block or call holds it, so a value does not depend
+on the array around it. A 0-d input gives a float.
 """
 from __future__ import annotations
 
@@ -14,11 +15,10 @@ import math
 
 import numpy as np
 
+from .capacity import at_points
+
 SQRT_2PI = float(np.sqrt(2.0 * np.pi))
 SQRT2 = math.sqrt(2.0)
-# elements per block of norm_cdf and norm_ppf: 128 KiB per float64 temporary,
-# within a core's cache, and long enough to spread numpy's per-call cost
-BLOCK = 16384
 
 
 def _rational(num, den, t):
@@ -86,15 +86,6 @@ _PPF_FAR = ((2.0103343992922881327e-7, 2.7115555687434875782e-5, 1.2426609473880
              5.9983220655588793769e-1, 1.0))
 
 
-def _blockwise(fn, x):
-    """fn of consecutive BLOCK-element slices of x, into one output of x's shape."""
-    flat = x.ravel()
-    out = np.empty(flat.size)
-    for start in range(0, flat.size, BLOCK):
-        fn(flat[start:start + BLOCK], out[start:start + BLOCK])
-    return out.reshape(x.shape)
-
-
 def _half_erfc(a):
     """erfc(a)/2 for 0.5 < a <= inf, with exp(-a^2) taken as Cody takes it:
     exp(-m^2) exp(-(a - m)(a + m)), m = trunc(16 a)/16."""
@@ -124,26 +115,26 @@ def _half_erfc(a):
     return m
 
 
-def _cdf_block(x, out):
+def _cdf_block(x):
     a = np.abs(x)
     a /= SQRT2  # |y| for y = -x/sqrt(2), rounded as -x / sqrt(2) is
     near = np.flatnonzero(a <= 0.5)
     far = np.flatnonzero(a > 0.5)
-    if near.size + far.size < a.size:
-        out[np.isnan(a)] = np.nan
+    # the cdf overwrites a at both index sets, so a NaN x keeps its NaN
     if near.size:
         y = x[near]
         y /= -SQRT2
         f = _rational(*_HALF_ERF, y * y)
         f *= y
         np.subtract(0.5, f, out=f)  # erfc(y)/2 = 1/2 - erf(y)/2
-        out[near] = f
+        a[near] = f
     if far.size:
         e = _half_erfc(a[far])
         s = x[far]
         np.copysign(e, s, out=e)
         np.subtract(s > 0.0, e, out=e)  # erfc(-a)/2 = 1 - erfc(a)/2
-        out[far] = e
+        a[far] = e
+    return a
 
 
 def norm_pdf(x):
@@ -153,12 +144,11 @@ def norm_pdf(x):
 
 def norm_cdf(x):
     """Standard normal cdf, 1/2 erfc(-x/sqrt 2); norm_cdf(+-inf) is 1 or 0 and
-    NaN stays NaN. A scalar or 0-d input gives a numpy scalar."""
-    arr = np.asarray(x, dtype=float)
-    return _blockwise(_cdf_block, arr)[()]
+    NaN stays NaN; a scalar or 0-d input gives a float."""
+    return at_points(_cdf_block, x, 1)
 
 
-def _ppf_block(p, out):
+def _ppf_block(p):
     q = p - 0.5
     r = np.multiply(q, q)
     np.subtract(0.180625, r, out=r)
@@ -169,7 +159,8 @@ def _ppf_block(p, out):
         if np.fmin.reduce(s) <= 0.0:  # fmin passes over NaN
             raise ValueError("probabilities must lie strictly inside (0, 1)")
         r[tail] = 0.0  # a finite central value, replaced below
-    np.multiply(_rational(*_PPF_CENTRAL, r), q, out=out)
+    out = _rational(*_PPF_CENTRAL, r)
+    out *= q
     if tail.size:
         np.log(s, out=s)
         np.negative(s, out=s)
@@ -179,11 +170,10 @@ def _ppf_block(p, out):
         if far.size:
             x[far] = _rational(*_PPF_FAR, s[far] - 5.0)
         out[tail] = np.copysign(x, q[tail], out=x)
+    return out
 
 
 def norm_ppf(p):
-    """Quantile of the standard normal; scalar in, scalar out, arrays pass
+    """Quantile of the standard normal; scalar in, float out, arrays pass
     through. A probability outside (0, 1) raises ValueError; NaN stays NaN."""
-    arr = np.asarray(p, dtype=float)
-    x = _blockwise(_ppf_block, arr)
-    return float(x) if arr.ndim == 0 else x
+    return at_points(_ppf_block, p, 1)

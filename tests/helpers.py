@@ -406,7 +406,7 @@ def walk_exponential(g) -> tuple[np.ndarray, np.ndarray]:
         if problem:
             raise RegularityError(
                 f"chain of sigma={sigma}: {problem}; the exponential "
-                "closed form does not apply (perturb nu or use Monte Carlo)", sigma=sigma)
+                "closed form does not apply (perturb nu or use Monte Carlo)")
         for i in range(n):
             denom = 1.0
             for k in range(n):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from choquet_dist import (CapacityFormatError, SetFunction, chain_table,
                           check_capacity, choquet, choquet_values, enumerate_chains,
                           load_capacity, make_game, orness, power_weight_game,
                           random_capacity, save_capacity)
-from choquet_dist.capacity import _key_mask, game_from_dict, game_to_dict
+from choquet_dist.capacity import _key_mask, game_from_dict, game_to_dict, subset_sizes
 
 from helpers import brute_choquet, brute_random_capacity, chain_walk, game_kinds
 from conftest import DUPLICATE_SUBSET_JSON, REF_VALUES
@@ -283,6 +284,29 @@ def test_library_source_guard(needle, allowed):
     src = Path(__file__).resolve().parents[1] / "src" / "choquet_dist"
     found = {p.name for p in src.glob("*.py") if needle in p.read_text(encoding="utf-8")}
     assert found == allowed
+
+
+def test_subset_sizes_are_bit_counts_built_in_int8():
+    for n in range(15):
+        sizes = subset_sizes(n)
+        assert sizes.dtype == np.int8
+        assert sizes.tolist() == [bin(m).count("1") for m in range(1 << n)]
+    tracemalloc.start()
+    try:
+        sizes = subset_sizes(20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * sizes.nbytes
+
+
+def test_only_capacity_sets_a_block_size():
+    """capacity.BLOCK_ELEMENTS is the one budget of every blocked evaluator:
+    no other module assigns a block-size constant."""
+    src = Path(__file__).resolve().parents[1] / "src" / "choquet_dist"
+    assigns = re.compile(r"^[A-Z_]*BLOCK[A-Z_]*\s*=", re.MULTILINE)
+    found = {p.name for p in src.glob("*.py") if assigns.search(p.read_text(encoding="utf-8"))}
+    assert found == {"capacity.py"}
 
 
 def _levels_constant(vals, n):

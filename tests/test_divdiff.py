@@ -8,7 +8,8 @@ from scipy import integrate
 
 from choquet_dist import (SetFunction, UniformChoquetDist, chain_table, tp_minus_dd,
                           tp_plus_dd)
-from choquet_dist.divdiff import BLOCK, tp_dd_sum
+from choquet_dist.capacity import BLOCK_ELEMENTS
+from choquet_dist.divdiff import tp_dd_sum
 
 from helpers import (dd_generic, dd_recurrence, game_kinds,
                      plus_full_degree_recurrence, random_distinct_knots,
@@ -207,13 +208,14 @@ def test_kernel_on_tied_knots_at_grid_points(rng):
 def test_kernel_row_count_not_a_multiple_of_the_block(rng):
     nu = chain_table(SetFunction(6, game_kinds(6, rng)["generic"]))[1]
     ys = np.linspace(-0.1, 1.1, 37)
-    assert len(nu) > BLOCK // ys.size and len(nu) % (BLOCK // ys.size) != 0
+    step = BLOCK_ELEMENTS // ys.size
+    assert len(nu) > step and len(nu) % step != 0
     _assert_kernel_matches(nu, ys, "blocks")
 
 
 def test_kernel_grid_longer_than_one_block(rng):
     nu = chain_table(SetFunction(2, game_kinds(2, rng)["generic"]))[1]
-    ys = np.linspace(-0.1, 1.1, BLOCK + 7)
+    ys = np.linspace(-0.1, 1.1, BLOCK_ELEMENTS + 7)
     _assert_kernel_matches(nu, ys, "long grid")
 
 

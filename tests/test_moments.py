@@ -8,7 +8,7 @@ import pytest
 from choquet_dist import (ExponentialOrderStats, SetFunction, UniformOrderStats,
                           make_game, moments_report, power_weight_game, provider_for,
                           random_capacity)
-from choquet_dist.capacity import subset_sizes
+from choquet_dist.capacity import ranked_zeta, subset_sizes
 from choquet_dist.moments import mean, nested_pair_level_sums, second_raw_moment
 from choquet_dist.montecarlo import sample_values
 
@@ -133,6 +133,21 @@ def test_nested_pair_level_sums_match_submask_walk(rng):
             got, want = nested_pair_level_sums(g), brute_nested_pairs(g)
             assert not np.isnan(got).any(), kind
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=kind)
+
+
+def test_nested_pair_level_sums_are_summed_pairwise():
+    # the centred game of the chain record, whose levels sum to ~0 by cancellation
+    n = 14
+    g = random_capacity(n, np.random.default_rng(n))
+    sizes = subset_sizes(n)
+    means = g.level_sums() / np.array([math.comb(n, t) for t in range(n + 1)])
+    h = SetFunction(n, g.values - means[sizes])
+    terms = ranked_zeta(h.values, n) * h.values
+    got = nested_pair_level_sums(h)
+    for t in range(1, n + 1):
+        for s in range(t):
+            level = terms[s, sizes == t]
+            assert abs(got[s, t] - math.fsum(level)) <= 2e-15 * np.abs(level).sum(), (s, t)
 
 
 def test_moments_match_monte_carlo(rng):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from choquet_dist import normal
+from choquet_dist.capacity import BLOCK_ELEMENTS
 from choquet_dist.normal import norm_cdf, norm_ppf
 
 MIB = 1 << 20
@@ -62,7 +62,7 @@ def test_norm_cdf_keeps_shape_and_scalars():
                                       (norm_ppf, lambda r, k: r.random(k))])
 def test_values_do_not_depend_on_the_block(fn, draw):
     # every element takes the same operations whatever block or call holds it
-    x = draw(np.random.default_rng(1), 2 * normal.BLOCK + 3)
+    x = draw(np.random.default_rng(1), 2 * BLOCK_ELEMENTS + 3)
     whole = fn(x)
     picks = np.arange(0, x.size, 997)
     assert np.array_equal(whole[picks], [fn(v) for v in x[picks]])

@@ -120,7 +120,8 @@ def test_choquet_values_equal_one_shot_at_every_size(n):
 
 def _traced_peak(fn, *args) -> int:
     """Peak bytes that numpy and Python allocate during fn(*args), counted
-    from the start of the call."""
+    from the start of the call; the output of POINTS float64 values is part
+    of it, so the tests below hold what is left to one budget."""
     tracemalloc.start()
     try:
         fn(*args)
@@ -136,14 +137,14 @@ POINTS = 200_000
 def test_mixture_temporaries_are_bounded(mix5, evaluate):
     assert mix5.weights.size == 120
     y = np.random.default_rng(4).normal(np.mean(mix5.means), 0.3, POINTS)
-    assert _traced_peak(evaluate, mix5, y) <= 16 * MIB
+    assert _traced_peak(evaluate, mix5, y) - y.nbytes <= 2 * MIB
 
 
 def test_choquet_values_temporaries_are_bounded(game5):
     x = np.random.default_rng(5).normal(size=(POINTS, 5))
-    assert _traced_peak(choquet_values, game5, x) <= 16 * MIB
+    assert _traced_peak(choquet_values, game5, x) - POINTS * x.itemsize <= 2 * MIB
 
 
 def test_exponential_cdf_temporaries_are_bounded(exp5):
     y = np.random.default_rng(6).exponential(size=POINTS)
-    assert _traced_peak(exp5.cdf, y) <= 16 * MIB
+    assert _traced_peak(exp5.cdf, y) - y.nbytes <= 2 * MIB
